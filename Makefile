@@ -1,6 +1,6 @@
 # Convenience targets; CI runs the same commands (see .github/workflows/ci.yml).
 
-.PHONY: build test race bench bench-smoke determinism cover fuzz-smoke lint live-smoke
+.PHONY: build test race bench bench-smoke bench-check determinism cover fuzz-smoke lint live-smoke
 
 # staticcheck is pinned so local runs and CI agree on findings; when the
 # binary is absent (offline sandboxes), lint still runs simlint + go vet
@@ -62,6 +62,24 @@ fuzz-smoke:
 # benchmarks cannot bit-rot.
 bench-smoke:
 	go test -run XXX -bench . -benchtime 1x ./...
+
+# bench-check gates the simulated results on the committed golden
+# digests: it runs the benchmark module's tests, then a short run of
+# each workload at seed 2022, and fails unless every run reports
+# "correct":true (its digests match bench/golden/). Run times are not
+# judged here.
+BENCH_WORKLOADS := single_query web_load proxy_cache hostile_net suite
+
+bench-check:
+	go test -C bench ./...
+	@for w in $(BENCH_WORKLOADS); do \
+		line=$$(bash bench/run.sh --workload $$w --seed 2022 --seconds 4 --trace 0) || exit 1; \
+		echo "$$line"; \
+		case "$$line" in \
+			*'"correct":true'*) echo "$$w: digests match bench/golden" ;; \
+			*) echo "bench-check: $$w does not match bench/golden" >&2; exit 1 ;; \
+		esac; \
+	done
 
 # determinism diffs representative experiments at -parallel 1 vs 8.
 determinism:

@@ -71,9 +71,10 @@ func (e *Engine) resolve(name string, qid uint16) (netip.Addr, time.Duration, er
 	defer sock.Close()
 	start := rt.Now()
 	q := dnsmsg.NewQuery(qid, name, dnsmsg.TypeA)
-	wire := q.Encode()
+	pool := sock.Pool()
 	for attempt := 0; attempt <= stubRetries; attempt++ {
-		sock.Send(e.Proxy, append([]byte(nil), wire...))
+		// The network owns a sent buffer, so each attempt leases its own.
+		sock.Send(e.Proxy, q.AppendEncode(pool.Get(512)))
 		deadline := rt.Now() + stubTimeout
 		for {
 			d, ok := sock.RecvTimeout(deadline - rt.Now())
@@ -81,6 +82,7 @@ func (e *Engine) resolve(name string, qid uint16) (netip.Addr, time.Duration, er
 				break // retransmit
 			}
 			resp, err := dnsmsg.Decode(d.Payload)
+			pool.Put(d.Payload) // late and mismatched answers too
 			if err != nil || resp.ID != qid {
 				continue
 			}

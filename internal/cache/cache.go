@@ -231,20 +231,32 @@ func TTLSeconds(d time.Duration) uint32 {
 // is the stub-cache fast path: a non-nil reply short-circuits the
 // upstream transport entirely.
 func (c *Cache) AnswerQuery(q *dnsmsg.Message) *dnsmsg.Message {
-	if len(q.Questions) == 0 {
-		return nil
-	}
-	qu := q.Questions[0]
-	if qu.Type != dnsmsg.TypeA {
-		return nil
-	}
-	ent, ok := c.Lookup(Key{Name: qu.Name, Type: qu.Type})
+	addr, ttl, ok := c.AnswerFor(q)
 	if !ok {
 		return nil
 	}
 	resp := dnsmsg.Reply(*q)
-	resp.AnswerA(ent.Addr, TTLSeconds(ent.Remaining(c.now())))
+	resp.AnswerA(addr, ttl)
 	return &resp
+}
+
+// AnswerFor looks up what AnswerQuery would answer for q: the cached
+// address for its first question and the TTL to advertise. Only A
+// questions can hit. Callers that encode the reply themselves
+// (dnsmsg.Message.AppendReplyA) use it to answer without building one.
+func (c *Cache) AnswerFor(q *dnsmsg.Message) (addr netip.Addr, ttl uint32, ok bool) {
+	if len(q.Questions) == 0 {
+		return netip.Addr{}, 0, false
+	}
+	qu := q.Questions[0]
+	if qu.Type != dnsmsg.TypeA {
+		return netip.Addr{}, 0, false
+	}
+	ent, ok := c.Lookup(Key{Name: qu.Name, Type: qu.Type})
+	if !ok {
+		return netip.Addr{}, 0, false
+	}
+	return ent.Addr, TTLSeconds(ent.Remaining(c.now())), true
 }
 
 // StaleAdvertTTL is the TTL advertised on answers served past their

@@ -121,14 +121,35 @@ func NewQuery(id uint16, name string, t Type) Message {
 // Reply constructs a response skeleton for q (same ID and question,
 // response and recursion-available bits set).
 func Reply(q Message) Message {
+	r := replyHeader(&q)
+	r.Questions = append([]Question(nil), q.Questions...)
+	return r
+}
+
+// replyHeader is Reply without the questions.
+func replyHeader(q *Message) Message {
 	return Message{
 		ID:                 q.ID,
 		Response:           true,
 		RecursionDesired:   q.RecursionDesired,
 		RecursionAvailable: true,
-		Questions:          append([]Question(nil), q.Questions...),
 		UDPSize:            q.UDPSize,
 	}
+}
+
+// AppendReplyA appends to dst the encoding of Reply(*m) after
+// AnswerA(addr, ttl), without allocating: the reply shares m's
+// questions and keeps its one answer on the stack. It is the hit path of
+// a cache answering queries.
+func (m *Message) AppendReplyA(dst []byte, addr netip.Addr, ttl uint32) []byte {
+	r := replyHeader(m)
+	r.Questions = m.Questions
+	var ans [1]Resource
+	if len(m.Questions) > 0 {
+		ans[0] = answerA(m.Questions[0].Name, addr, ttl)
+		r.Answers = ans[:]
+	}
+	return r.AppendEncode(dst)
 }
 
 var (
@@ -150,7 +171,6 @@ func (m *Message) AppendEncode(dst []byte) []byte {
 	var e encoder
 	e.buf = dst
 	e.base = len(dst) // compression offsets are message-relative
-	e.names = e.nameArr[:0]
 	var flags uint16
 	if m.Response {
 		flags |= 1 << 15
@@ -201,17 +221,46 @@ func (m *Message) AppendEncode(dst []byte) []byte {
 
 // nameOffset records where a name suffix was written, for compression.
 // A small linear table beats a map here: messages carry a handful of
-// names, and the table lives on the encoder's stack frame.
+// names, and the table lives on the encoder's stack frame. Only a
+// message with more suffixes than the array holds spills to the heap.
+// The encoder must hold no pointer into itself (a names slice over the
+// array would be one): that alone moves it to the heap.
 type nameOffset struct {
 	suffix string
 	off    int
 }
 
 type encoder struct {
-	buf     []byte
-	base    int // message start within buf
-	names   []nameOffset
-	nameArr [24]nameOffset
+	buf    []byte
+	base   int // message start within buf
+	nNames int // used prefix of names
+	names  [24]nameOffset
+	spill  []nameOffset // suffixes past the array, in insertion order
+}
+
+// lookup returns the message offset of a previously written suffix.
+func (e *encoder) lookup(suffix string) (int, bool) {
+	for _, n := range e.names[:e.nNames] {
+		if n.suffix == suffix {
+			return n.off, true
+		}
+	}
+	for _, n := range e.spill {
+		if n.suffix == suffix {
+			return n.off, true
+		}
+	}
+	return 0, false
+}
+
+// record remembers where suffix was written.
+func (e *encoder) record(suffix string, off int) {
+	if e.nNames < len(e.names) {
+		e.names[e.nNames] = nameOffset{suffix, off}
+		e.nNames++
+		return
+	}
+	e.spill = append(e.spill, nameOffset{suffix, off})
 }
 
 func (e *encoder) u16(v uint16) { e.buf = binary.BigEndian.AppendUint16(e.buf, v) }
@@ -228,14 +277,12 @@ func (e *encoder) name(name string) {
 	}
 	for i := 0; i < len(name); {
 		suffix := name[i:]
-		for _, n := range e.names {
-			if n.suffix == suffix {
-				e.u16(0xc000 | uint16(n.off))
-				return
-			}
+		if off, ok := e.lookup(suffix); ok {
+			e.u16(0xc000 | uint16(off))
+			return
 		}
 		if len(e.buf)-e.base < 0x3fff {
-			e.names = append(e.names, nameOffset{suffix, len(e.buf) - e.base})
+			e.record(suffix, len(e.buf)-e.base)
 		}
 		l := suffix
 		if j := strings.IndexByte(suffix, '.'); j >= 0 {
@@ -278,19 +325,45 @@ func (e *encoder) resource(r *Resource) {
 	binary.BigEndian.PutUint16(e.buf[lenAt:], uint16(len(e.buf)-start))
 }
 
-// Decode parses a wire-format message.
+// headerLen is the fixed DNS header: ID, flags and four section counts.
+const headerLen = 12
+
+// Decode parses a wire-format message. Everything the message keeps is
+// copied out of b, so the caller may reuse b as soon as Decode returns.
+// The common shapes — one question, or one question and one answer —
+// are allocated together with the Message, so a typical query or reply
+// costs that one allocation plus its distinct names.
 func Decode(b []byte) (*Message, error) {
-	d := decoder{buf: b}
-	m := &Message{}
-	id, err := d.u16()
-	if err != nil {
-		return nil, err
+	if len(b) < headerLen {
+		return nil, errShortMessage
 	}
-	m.ID = id
-	flags, err := d.u16()
-	if err != nil {
-		return nil, err
+	var counts [4]uint16
+	for i := range counts {
+		counts[i] = binary.BigEndian.Uint16(b[4+2*i:])
 	}
+	var m *Message
+	var answer []Resource // storage for a lone answer, allocated with m
+	switch {
+	case counts[0] == 1 && counts[1] == 1:
+		blk := new(struct {
+			m Message
+			q [1]Question
+			a [1]Resource
+		})
+		m, answer = &blk.m, blk.a[:0]
+		m.Questions = blk.q[:0]
+	case counts[0] == 1:
+		blk := new(struct {
+			m Message
+			q [1]Question
+		})
+		m = &blk.m
+		m.Questions = blk.q[:0]
+	default:
+		m = new(Message)
+	}
+	m.ID = binary.BigEndian.Uint16(b)
+	flags := binary.BigEndian.Uint16(b[2:])
 	m.Response = flags&(1<<15) != 0
 	m.OpCode = uint8(flags >> 11 & 0xf)
 	m.Authoritative = flags&(1<<10) != 0
@@ -299,12 +372,8 @@ func Decode(b []byte) (*Message, error) {
 	m.RecursionAvailable = flags&(1<<7) != 0
 	m.RCode = RCode(flags & 0xf)
 
-	var counts [4]uint16
-	for i := range counts {
-		if counts[i], err = d.u16(); err != nil {
-			return nil, err
-		}
-	}
+	d := decoder{buf: b, off: headerLen}
+	var err error
 	for i := 0; i < int(counts[0]); i++ {
 		var q Question
 		if q.Name, err = d.name(); err != nil {
@@ -332,6 +401,11 @@ func Decode(b []byte) (*Message, error) {
 				m.UDPSize = uint16(r.Class)
 				continue
 			}
+			if si == 0 && *sec == nil {
+				// A section stays nil until it holds a record, so an OPT
+				// misplaced among the answers leaves Answers nil.
+				*sec = answer
+			}
 			*sec = append(*sec, r)
 		}
 	}
@@ -341,6 +415,16 @@ func Decode(b []byte) (*Message, error) {
 type decoder struct {
 	buf []byte
 	off int
+	// seen remembers names decoded whole at a message offset, so a
+	// compression pointer to one (an answer's owner name pointing at the
+	// question) reuses the string instead of building it again.
+	seen  [4]decodedName
+	nSeen int
+}
+
+type decodedName struct {
+	off  int
+	name string
 }
 
 func (d *decoder) u16() (uint16, error) {
@@ -373,12 +457,14 @@ func (d *decoder) name() (string, error) {
 // nameAt decodes a possibly compressed name starting at off. It returns
 // the name and the offset just past the name's first encoding. Labels
 // accumulate in a stack buffer (names are at most 255 bytes on the wire)
-// so the only allocation is the returned string; compression pointers
+// so the only allocation is the returned string, and none when the name
+// repeats one decoded earlier in the message; compression pointers
 // are followed iteratively and must point strictly backwards, which
 // bounds the walk without a depth counter.
 func (d *decoder) nameAt(off int) (string, int, error) {
 	var arr [256]byte
 	b := arr[:0]
+	start := off
 	end := -1 // offset just past the first encoding, once known
 	for {
 		if off >= len(d.buf) {
@@ -394,7 +480,12 @@ func (d *decoder) nameAt(off int) (string, int, error) {
 			if len(b) == 0 {
 				return ".", end, nil
 			}
-			return string(b), end, nil
+			s := string(b)
+			if d.nSeen < len(d.seen) {
+				d.seen[d.nSeen] = decodedName{start, s}
+				d.nSeen++
+			}
+			return s, end, nil
 		case l&0xc0 == 0xc0:
 			if off+2 > len(d.buf) {
 				return "", 0, errShortMessage
@@ -405,6 +496,15 @@ func (d *decoder) nameAt(off int) (string, int, error) {
 			}
 			if end < 0 {
 				end = off + 2
+			}
+			if len(b) == 0 {
+				// Nothing precedes the pointer, so the name is exactly the
+				// one at ptr; if that was decoded already, it is reused.
+				for _, n := range d.seen[:d.nSeen] {
+					if n.off == ptr {
+						return n.name, end, nil
+					}
+				}
 			}
 			off = ptr
 		case l&0xc0 != 0:
@@ -480,9 +580,11 @@ func (m *Message) AnswerA(addr netip.Addr, ttl uint32) {
 	if len(m.Questions) == 0 {
 		return
 	}
-	m.Answers = append(m.Answers, Resource{
-		Name: m.Questions[0].Name, Type: TypeA, Class: ClassIN, TTL: ttl, Addr: addr,
-	})
+	m.Answers = append(m.Answers, answerA(m.Questions[0].Name, addr, ttl))
+}
+
+func answerA(name string, addr netip.Addr, ttl uint32) Resource {
+	return Resource{Name: name, Type: TypeA, Class: ClassIN, TTL: ttl, Addr: addr}
 }
 
 // FirstA returns the first A answer's address.

@@ -1,6 +1,7 @@
 package dnsmsg
 
 import (
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -220,5 +221,110 @@ func TestPropertyDecodeNeverPanics(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// oneAnswerReply is the steady-state response shape: one question and
+// one A answer whose owner name compresses to the question.
+func oneAnswerReply() Message {
+	r := Reply(NewQuery(7, "www.example.com", TypeA))
+	r.AnswerA(netip.MustParseAddr("192.0.2.1"), 300)
+	return r
+}
+
+// TestAppendEncodeAllocFree pins the encoder on the stack: encoding into
+// a buffer with enough capacity allocates nothing.
+func TestAppendEncodeAllocFree(t *testing.T) {
+	q := NewQuery(1, "www.example.com", TypeA)
+	r := oneAnswerReply()
+	buf := make([]byte, 0, 512)
+	for _, m := range []*Message{&q, &r} {
+		if n := testing.AllocsPerRun(100, func() { buf = m.AppendEncode(buf[:0]) }); n != 0 {
+			t.Errorf("AppendEncode(%v) made %v allocations, want 0", m, n)
+		}
+	}
+}
+
+// TestDecodeAllocs bounds the steady-state decode: a one-question query
+// or a one-question, one-answer response costs the message (allocated
+// with its question and answer) plus one name, which the answer's
+// compressed owner name reuses.
+func TestDecodeAllocs(t *testing.T) {
+	q := NewQuery(1, "www.example.com", TypeA)
+	r := oneAnswerReply()
+	for _, m := range []*Message{&q, &r} {
+		wire := m.Encode()
+		if n := testing.AllocsPerRun(100, func() { Decode(wire) }); n > 2 {
+			t.Errorf("Decode(%v) made %v allocations, want <= 2", m, n)
+		}
+	}
+}
+
+// TestAppendReplyA checks the cache hit-path encoder against the
+// composition it replaces, and that it allocates nothing.
+func TestAppendReplyA(t *testing.T) {
+	addr := netip.MustParseAddr("192.0.2.7")
+	for _, q := range []Message{
+		NewQuery(9, "www.example.com", TypeA),
+		{ID: 3, Questions: []Question{{Name: "a.test", Type: TypeA, Class: ClassIN}, {Name: "b.test", Type: TypeA, Class: ClassIN}}},
+		{ID: 4},
+	} {
+		want := Reply(q)
+		want.AnswerA(addr, 42)
+		if got := q.AppendReplyA(nil, addr, 42); !reflect.DeepEqual(got, want.Encode()) {
+			t.Errorf("AppendReplyA(%v) = %x, want %x", &q, got, want.Encode())
+		}
+		buf := make([]byte, 0, 512)
+		if n := testing.AllocsPerRun(100, func() { buf = q.AppendReplyA(buf[:0], addr, 42) }); n != 0 {
+			t.Errorf("AppendReplyA(%v) made %v allocations, want 0", &q, n)
+		}
+	}
+}
+
+// TestCompressionPastNameTable checks a message with more name suffixes
+// than the encoder's fixed table: names recorded past it still compress,
+// and the message round-trips.
+func TestCompressionPastNameTable(t *testing.T) {
+	m := Message{ID: 1, Response: true, Questions: []Question{{Name: "q.example.com", Type: TypeA, Class: ClassIN}}}
+	var names []string
+	for i := 0; i < 40; i++ {
+		names = append(names, fmt.Sprintf("n%02d.example.com", i))
+	}
+	for _, n := range names {
+		m.Answers = append(m.Answers, Resource{Name: n, Type: TypeA, Class: ClassIN, TTL: 1, Addr: netip.MustParseAddr("192.0.2.1")})
+	}
+	for _, n := range names {
+		m.Authorities = append(m.Authorities, Resource{Name: "zone.test", Type: TypeNS, Class: ClassIN, TTL: 1, Target: n})
+	}
+	wire := m.Encode()
+	for _, n := range names {
+		if c := strings.Count(string(wire), n[:3]); c != 1 {
+			t.Errorf("label %q written %d times, want 1 (compressed)", n[:3], c)
+		}
+	}
+	got, err := Decode(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Answers, m.Answers) || !reflect.DeepEqual(got.Authorities, m.Authorities) {
+		t.Error("message with a spilled name table did not round-trip")
+	}
+}
+
+// TestDecodeOPTAmongAnswersLeavesAnswersNil checks that a section stays
+// nil unless it holds a record, even when the message's one answer slot
+// is taken by an OPT pseudo-record.
+func TestDecodeOPTAmongAnswersLeavesAnswersNil(t *testing.T) {
+	b := []byte{
+		0, 1, 0x80, 0, 0, 1, 0, 1, 0, 0, 0, 0, // response, qd=1 an=1
+		1, 'x', 0, 0, 1, 0, 1, // question x. A IN
+		0, 0, 41, 0x04, 0xd0, 0, 0, 0, 0, 0, 0, // OPT, 1232-byte UDP payload
+	}
+	m, err := Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Answers != nil || m.UDPSize != 1232 {
+		t.Errorf("Answers = %#v, UDPSize = %d; want nil, 1232", m.Answers, m.UDPSize)
 	}
 }

@@ -313,6 +313,7 @@ func (p *Proxy) send(dst netip.AddrPort, resp *dnsmsg.Message) {
 
 func (p *Proxy) forward(d netapi.Packet) {
 	q, err := dnsmsg.Decode(d.Payload)
+	p.sock.Pool().Put(d.Payload) // Decode copies everything it keeps
 	if err != nil {
 		return
 	}
@@ -335,9 +336,11 @@ func (p *Proxy) forward(d netapi.Packet) {
 		}
 	}
 	if p.stub != nil {
-		if resp := p.stub.AnswerQuery(q); resp != nil {
+		// Encode the cache's reply straight into a pooled buffer: a hit
+		// builds no reply message.
+		if addr, ttl, ok := p.stub.AnswerFor(q); ok {
 			p.StubHits++
-			p.send(d.Src, resp)
+			p.sock.Send(d.Src, q.AppendReplyA(p.sock.Pool().Get(512), addr, ttl))
 			return
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bytepool"
 	"repro/internal/cache"
 	"repro/internal/dnsmsg"
 	"repro/internal/dox"
@@ -537,5 +538,55 @@ func TestCoalescedFanoutSteadyStateAllocs(t *testing.T) {
 	// waiter costing encode+send must stay pooled).
 	if perRound > 60 {
 		t.Errorf("coalesced fan-out allocates %.1f/round; budget 60", perRound)
+	}
+}
+
+// TestStubHitsReturnEveryBuffer guards the datagram ownership chain on
+// the stub-cache hit path: the proxy returns each query buffer after
+// decoding it and leases its reply from the pool, so once the pool is
+// warm a burst of hits adds no pool misses. A receiver that forgets its
+// Put shows up here as one miss per query, not as a failure.
+func TestStubHitsReturnEveryBuffer(t *testing.T) {
+	u, p := setup(t, dox.DoUDP, func(c *Config) { c.StubCache = true })
+	const clients, burst = 4, 50
+	var misses uint64
+	u.W.Go(func() {
+		host := u.Vantages[0].Host
+		socks := make([]*netem.Socket, clients)
+		qs := make([]dnsmsg.Message, clients)
+		for i := range socks {
+			socks[i] = host.Dial(netem.ProtoUDP, 8)
+			qs[i] = dnsmsg.NewQuery(uint16(i+1), "hot.example", dnsmsg.TypeA)
+		}
+		round := func() {
+			for i := range socks {
+				socks[i].Send(p.Addr(), qs[i].AppendEncode(socks[i].Pool().Get(512)))
+			}
+			for i := range socks {
+				d, ok := socks[i].RecvTimeout(5 * time.Second)
+				if !ok {
+					t.Error("stub-cache answer missing")
+					return
+				}
+				socks[i].Pool().Put(d.Payload)
+			}
+		}
+		for i := 0; i < 5; i++ {
+			round() // the first round goes upstream; the rest warm the pool
+		}
+		_, m1 := bytepool.Stats()
+		hits := p.StubHits
+		for i := 0; i < burst; i++ {
+			round()
+		}
+		_, m2 := bytepool.Stats()
+		misses = m2 - m1
+		if got := p.StubHits - hits; got != clients*burst {
+			t.Errorf("burst produced %d stub hits, want %d", got, clients*burst)
+		}
+	})
+	u.W.Run()
+	if misses != 0 {
+		t.Errorf("a burst of %d stub-cache hits added %d bytepool misses, want 0", clients*burst, misses)
 	}
 }

@@ -7,8 +7,10 @@ import (
 
 // Sketch layout: one bucket per 1/sketchSubBuckets of an octave (a
 // doubling), covering 2^sketchMinExp through 2^sketchMaxExp, plus a
-// dedicated bucket for non-positive samples. The footprint is fixed at
-// construction (~20 KiB), independent of how many samples stream
+// dedicated bucket for non-positive samples. A sketch stores only the
+// window of buckets its samples have reached, so one that sees a few
+// octaves of latencies holds a few KiB, and no sketch ever exceeds the
+// full range (sketchBuckets × 8 B ≈ 20 KiB) however many samples stream
 // through — the property that lets million-query campaigns aggregate
 // per shard without holding samples.
 const (
@@ -25,16 +27,18 @@ const (
 // slack when comparing against exact order statistics.
 const SketchRelError = 0.011
 
-// Sketch is a fixed-memory streaming quantile summary: a log-bucketed
+// Sketch is a bounded-memory streaming quantile summary: a log-bucketed
 // histogram in the spirit of HDR histograms, sized for the evaluation's
 // sample ranges (durations in nanoseconds, byte counts). Unlike CDF it
-// never stores samples, so memory stays constant as campaigns grow by
+// never stores samples, so memory stays bounded as campaigns grow by
 // orders of magnitude, and two sketches merge exactly: feeding a sample
 // stream through per-shard sketches and merging them (in any order)
 // yields bit-identical counts — and therefore byte-identical reports —
 // to streaming the whole campaign through one sketch.
 type Sketch struct {
+	// counts[i] is bucket lo+i; every bucket outside the window is zero.
 	counts []uint64
+	lo     int
 	// nonPos counts samples <= 0 (a lossless DoUDP resolve can be
 	// measured as 0 on a cache hit answered in the same event).
 	nonPos   uint64
@@ -43,13 +47,38 @@ type Sketch struct {
 	min, max float64
 }
 
-// NewSketch returns an empty sketch.
+// NewSketch returns an empty sketch. It holds no buckets until the
+// first positive sample arrives.
 func NewSketch() *Sketch {
 	return &Sketch{
-		counts: make([]uint64, sketchBuckets),
-		min:    math.Inf(1),
-		max:    math.Inf(-1),
+		min: math.Inf(1),
+		max: math.Inf(-1),
 	}
+}
+
+// grow widens the bucket window to cover [lo, hi). A side that has to
+// grow grows by at least the window's size (and at least one octave),
+// so a stream drifting one way reallocates only logarithmically often;
+// the window never leaves [0, sketchBuckets).
+func (s *Sketch) grow(lo, hi int) {
+	n := len(s.counts)
+	oldLo, oldHi := s.lo, s.lo+n
+	if n == 0 {
+		oldLo, oldHi = lo, lo
+	} else if lo >= oldLo && hi <= oldHi {
+		return
+	}
+	slack := max(n, sketchSubBuckets)
+	newLo, newHi := oldLo, oldHi
+	if lo < oldLo {
+		newLo = max(min(lo, oldLo-slack), 0)
+	}
+	if hi > oldHi {
+		newHi = min(max(hi, oldHi+slack), sketchBuckets)
+	}
+	c := make([]uint64, newHi-newLo)
+	copy(c[oldLo-newLo:], s.counts)
+	s.lo, s.counts = newLo, c
 }
 
 // sketchIndex maps a positive sample to its bucket.
@@ -85,7 +114,11 @@ func (s *Sketch) Add(x float64) {
 		s.nonPos++
 		return
 	}
-	s.counts[sketchIndex(x)]++
+	i := sketchIndex(x)
+	if i < s.lo || i >= s.lo+len(s.counts) {
+		s.grow(i, i+1)
+	}
+	s.counts[i-s.lo]++
 }
 
 // AddDuration records a duration sample in nanoseconds.
@@ -151,7 +184,7 @@ func (s *Sketch) Quantile(q float64) float64 {
 	for i, c := range s.counts {
 		cum += c
 		if cum >= target {
-			v := sketchValue(i)
+			v := sketchValue(s.lo + i)
 			// The exact extremes sharpen the outermost buckets.
 			if v < s.min {
 				v = s.min
@@ -186,8 +219,12 @@ func (s *Sketch) Merge(o *Sketch) {
 	if o == nil || o.n == 0 {
 		return
 	}
-	for i, c := range o.counts {
-		s.counts[i] += c
+	if len(o.counts) > 0 {
+		s.grow(o.lo, o.lo+len(o.counts))
+		dst := s.counts[o.lo-s.lo:]
+		for i, c := range o.counts {
+			dst[i] += c
+		}
 	}
 	s.nonPos += o.nonPos
 	s.n += o.n

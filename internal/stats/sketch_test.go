@@ -204,3 +204,184 @@ func BenchmarkSketchAdd(b *testing.B) {
 		s.Add(float64(i%1000+1) * 1e6)
 	}
 }
+
+// refSketch is the full-array layout the windowed Sketch replaced: every
+// bucket allocated up front. Bucket choice and the quantile walk are the
+// same, so the two must agree exactly on every query.
+type refSketch struct {
+	counts           [sketchBuckets]uint64
+	nonPos, n        uint64
+	minimum, maximum float64
+}
+
+func newRefSketch() *refSketch {
+	return &refSketch{minimum: math.Inf(1), maximum: math.Inf(-1)}
+}
+
+func (r *refSketch) add(x float64) {
+	r.n++
+	r.minimum, r.maximum = math.Min(r.minimum, x), math.Max(r.maximum, x)
+	if x <= 0 {
+		r.nonPos++
+		return
+	}
+	r.counts[sketchIndex(x)]++
+}
+
+func (r *refSketch) merge(o *refSketch) {
+	for i, c := range o.counts {
+		r.counts[i] += c
+	}
+	r.nonPos += o.nonPos
+	r.n += o.n
+	r.minimum, r.maximum = math.Min(r.minimum, o.minimum), math.Max(r.maximum, o.maximum)
+}
+
+func (r *refSketch) quantile(q float64) float64 {
+	switch {
+	case r.n == 0:
+		return 0
+	case q <= 0:
+		return r.minimum
+	case q >= 1:
+		return r.maximum
+	}
+	target := min(max(uint64(math.Ceil(q*float64(r.n))), 1), r.n)
+	cum := r.nonPos
+	if cum >= target {
+		return r.minimum
+	}
+	for i, c := range r.counts {
+		if cum += c; cum >= target {
+			return math.Min(math.Max(sketchValue(i), r.minimum), r.maximum)
+		}
+	}
+	return r.maximum
+}
+
+// pair feeds the same samples to a windowed sketch and its reference.
+type pair struct {
+	s *Sketch
+	r *refSketch
+}
+
+func newPair() pair { return pair{NewSketch(), newRefSketch()} }
+
+func (p pair) add(xs ...float64) {
+	for _, x := range xs {
+		p.s.Add(x)
+		p.r.add(x)
+	}
+}
+
+func (p pair) merge(o pair) {
+	p.s.Merge(o.s)
+	p.r.merge(o.r)
+}
+
+// check compares N, Min, Max and a grid of quantiles, and that the window
+// never leaves the full bucket range.
+func (p pair) check(t *testing.T, what string) {
+	t.Helper()
+	s, r := p.s, p.r
+	if s.N() != int(r.n) {
+		t.Fatalf("%s: N = %d, reference %d", what, s.N(), r.n)
+	}
+	if r.n > 0 && (s.Min() != r.minimum || s.Max() != r.maximum) {
+		t.Fatalf("%s: min/max = %v/%v, reference %v/%v", what, s.Min(), s.Max(), r.minimum, r.maximum)
+	}
+	for i := 0; i <= 200; i++ {
+		q := float64(i) / 200
+		if got, want := s.Quantile(q), r.quantile(q); got != want {
+			t.Fatalf("%s: Quantile(%v) = %v, reference %v", what, q, got, want)
+		}
+	}
+	if s.lo < 0 || s.lo+len(s.counts) > sketchBuckets {
+		t.Fatalf("%s: window [%d, %d) outside [0, %d)", what, s.lo, s.lo+len(s.counts), sketchBuckets)
+	}
+}
+
+// TestSketchWindowMatchesFullArray checks that storing only the touched
+// window of buckets changes no answer: random streams of every shape,
+// merged in both orders, with empty sketches and disjoint windows.
+func TestSketchWindowMatchesFullArray(t *testing.T) {
+	rng := rand.New(rand.NewSource(2022))
+	streams := []struct {
+		name string
+		gen  func(i int) float64
+	}{
+		{"lognormal", func(int) float64 { return math.Exp(rng.NormFloat64() * 3) }},
+		{"latency_ns", func(int) float64 { return 1e6 * math.Exp(rng.NormFloat64()) }},
+		{"ascending", func(i int) float64 { return math.Exp2(float64(i)/16 - 10) }},
+		{"descending", func(i int) float64 { return math.Exp2(40 - float64(i)/16) }},
+		{"with_zeros", func(i int) float64 { return float64(i%3) * rng.Float64() }},
+		{"clamped", func(i int) float64 { return math.Exp2(float64(i%2)*200 - 100) }},
+	}
+	for _, st := range streams {
+		name, gen := st.name, st.gen
+		whole := newPair()
+		a, b := newPair(), newPair()
+		for i := 0; i < 2000; i++ {
+			x := gen(i)
+			whole.add(x)
+			if rng.Intn(2) == 0 {
+				a.add(x)
+			} else {
+				b.add(x)
+			}
+		}
+		whole.check(t, name)
+		ab, ba := newPair(), newPair()
+		ab.merge(a)
+		ab.merge(b)
+		ba.merge(b)
+		ba.merge(a)
+		ab.check(t, name+" a+b")
+		ba.check(t, name+" b+a")
+		for q := 0.0; q <= 1; q += 0.01 {
+			if ab.s.Quantile(q) != whole.s.Quantile(q) || ba.s.Quantile(q) != whole.s.Quantile(q) {
+				t.Fatalf("%s: merged Quantile(%v) differs from the whole stream", name, q)
+			}
+		}
+	}
+
+	// Empty sketches: merging one in either direction changes nothing.
+	e, f := newPair(), newPair()
+	e.merge(f)
+	e.check(t, "empty+empty")
+	full := newPair()
+	full.add(3, 0.5, 1e9)
+	full.merge(newPair())
+	full.check(t, "full+empty")
+	e.merge(full)
+	e.check(t, "empty+full")
+
+	// Disjoint windows, low-into-high and high-into-low.
+	low, high := newPair(), newPair()
+	for i := 0; i < 100; i++ {
+		low.add(1e-3 * (1 + rng.Float64()))
+		high.add(1e12 * (1 + rng.Float64()))
+	}
+	lh, hl := newPair(), newPair()
+	lh.merge(low)
+	lh.merge(high)
+	hl.merge(high)
+	hl.merge(low)
+	lh.check(t, "low+high")
+	hl.check(t, "high+low")
+	low.merge(high)
+	low.check(t, "low into high")
+}
+
+// TestSketchWindowStaysSmall checks the point of the window: a sketch of
+// latencies spanning a few octaves holds a small fraction of the full
+// bucket range.
+func TestSketchWindowStaysSmall(t *testing.T) {
+	s := NewSketch()
+	for i := 0; i < 10000; i++ {
+		s.AddDuration(time.Duration(1+i%400) * time.Millisecond)
+	}
+	if n := cap(s.counts); n > sketchBuckets/4 {
+		t.Errorf("window capacity %d buckets for ~9 octaves of samples, want <= %d", n, sketchBuckets/4)
+	}
+}
