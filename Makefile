@@ -39,12 +39,10 @@ else
 	@echo "lint: staticcheck not installed; skipping (CI pins $(STATICCHECK_VERSION))"
 endif
 
-# bench records a benchmark-trajectory point (ns/op, B/op, allocs/op,
-# parallel speedup, suite wall time / peak RSS / pool counters) to
-# BENCH_PR7.json. Takes a few minutes: every experiment benchmark reruns
-# its campaign 3 times, plus one full suite run for telemetry.
+# bench runs the repository benchmark (bench/README.md): all five
+# workloads plus the per-layer numbers, a few minutes.
 bench:
-	go run ./cmd/bench -count 3 -out BENCH_PR7.json
+	bash bench/run.sh
 
 # cover prints the per-function coverage summary CI publishes.
 cover:
@@ -57,6 +55,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/dnsmsg
 	go test -run '^$$' -fuzz FuzzDecodeMessage -fuzztime 10s ./internal/tlsmini
 	go test -run '^$$' -fuzz FuzzServerRecords -fuzztime 10s ./internal/tlsmini
+	go test -run '^$$' -fuzz FuzzPrefixReader -fuzztime 10s ./internal/dox
 
 # bench-smoke compiles and runs every benchmark for one iteration, so
 # benchmarks cannot bit-rot.

@@ -22,10 +22,8 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"syscall"
 	"time"
 
-	"repro/internal/bytepool"
 	"repro/internal/experiments"
 )
 
@@ -86,15 +84,6 @@ func main() {
 		fmt.Printf("=== %s — %s (%s)\n%s\n", e.ID, e.Artifact, e.About, res.Output)
 	})
 	fmt.Fprintf(os.Stderr, "%d experiments in %.1fs\n", len(results), time.Since(start).Seconds())
-	// Resource telemetry for cmd/bench (stderr only; stdout stays
-	// byte-stable across runs and parallelism).
-	hits, misses := bytepool.Stats()
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err == nil {
-		fmt.Fprintf(os.Stderr, "bytepool %d hits %d misses; peak rss %d KB\n", hits, misses, ru.Maxrss)
-	} else {
-		fmt.Fprintf(os.Stderr, "bytepool %d hits %d misses\n", hits, misses)
-	}
 	if failed > 0 {
 		os.Exit(1)
 	}

@@ -30,7 +30,7 @@
 // knob (cmd/experiments -parallel N, Config.Parallelism).
 //
 // Every table and figure of the paper's evaluation is regenerated by an
-// experiment in internal/experiments (driven by cmd/experiments and by
-// the benchmarks in bench_test.go). See DESIGN.md for the system
-// inventory and EXPERIMENTS.md for paper-versus-measured results.
+// experiment in internal/experiments (driven by cmd/experiments; the
+// repository benchmark in bench/ times them). See DESIGN.md for the
+// system inventory and EXPERIMENTS.md for paper-versus-measured results.
 package repro

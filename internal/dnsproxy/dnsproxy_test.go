@@ -181,7 +181,6 @@ func TestUpstreamFailureCountsAsFailure(t *testing.T) {
 		Options: dox.Options{
 			Resolver:   netip.MustParseAddr("203.255.255.1"),
 			UDPTimeout: 200 * time.Millisecond,
-			UDPRetries: 0,
 		},
 	})
 	if err != nil {
@@ -259,7 +258,6 @@ func outageSetup(t *testing.T, mut func(*Config)) (*resolver.Universe, *Proxy) {
 		},
 		func(c *Config) {
 			c.Options.UDPTimeout = 500 * time.Millisecond
-			c.Options.UDPRetries = 0
 			mut(c)
 		})
 }

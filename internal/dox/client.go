@@ -3,10 +3,8 @@ package dox
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"net/netip"
-	"slices"
-	"sync"
+	"strconv"
 	"time"
 
 	"repro/internal/dnsmsg"
@@ -16,17 +14,6 @@ import (
 	"repro/internal/quic"
 	"repro/internal/tlsmini"
 )
-
-// failPending fails every in-flight query in ascending query-ID order.
-// Iterating the map directly would wake the waiting tasks in Go's
-// randomized map order, which leaks into the kernel's run queue and
-// breaks bit-level reproducibility of lossy campaigns.
-func failPending(pending map[uint16]*netapi.Future[*dnsmsg.Message]) {
-	for _, id := range slices.Sorted(maps.Keys(pending)) {
-		pending[id].Fail()
-		delete(pending, id)
-	}
-}
 
 // Client is a DNS transport session against one resolver.
 type Client interface {
@@ -68,8 +55,8 @@ type Options struct {
 	Backend  netapi.Backend
 	Resolver netip.Addr
 
-	// Ports default to the standard ones.
-	UDPPort, TCPPort, DoTPort, DoHPort, DoQPort, DoH3Port uint16
+	// Ports default to the standard ones; DoH3 always dials PortDoH3.
+	UDPPort, TCPPort, DoTPort, DoHPort, DoQPort uint16
 
 	ServerName     string
 	SessionCache   *tlsmini.SessionCache
@@ -77,7 +64,6 @@ type Options struct {
 	Token          []byte   // QUIC address-validation token
 	QUICVersions   []uint32 // preference order
 	DoQALPNs       []string // offered DoQ versions; default AllDoQALPNs
-	TLSMaxVersion  tlsmini.Version
 
 	// InsecureTLS disables certificate verification on backends that
 	// verify (livenet); the sim backend's certificates are modeled.
@@ -85,46 +71,36 @@ type Options struct {
 
 	// UDPTimeout is the stub's initial application-layer retransmission
 	// timeout (resolv.conf default: 5 seconds). UDPRetries caps
-	// retransmissions, and UDPBackoff multiplies the per-attempt timeout
-	// after each unanswered attempt (resolv.conf-style exponential
-	// backoff). The default backoff of 1 keeps the classic flat
-	// schedule — a lossy first datagram costs the full UDPTimeout —
-	// while a resilience-minded stub sets a short UDPTimeout with
-	// UDPBackoff 2 and bounds the total wait without giving up retries.
+	// retransmissions; 0 means the default, 2, so there is no way to ask
+	// for none. UDPBackoff multiplies the per-attempt timeout after each
+	// unanswered attempt (resolv.conf-style exponential backoff). The
+	// default backoff of 1 keeps the classic flat schedule — a lossy
+	// first datagram costs the full UDPTimeout — while a
+	// resilience-minded stub sets a short UDPTimeout with UDPBackoff 2
+	// and bounds the total wait without giving up retries.
 	UDPTimeout time.Duration
 	UDPRetries int
 	UDPBackoff float64
 }
 
+// setDefault replaces a zero *v with def.
+func setDefault[T comparable](v *T, def T) {
+	var zero T
+	if *v == zero {
+		*v = def
+	}
+}
+
 func (o *Options) withDefaults() Options {
 	v := *o
-	if v.UDPPort == 0 {
-		v.UDPPort = PortDoUDP
-	}
-	if v.TCPPort == 0 {
-		v.TCPPort = PortDoTCP
-	}
-	if v.DoTPort == 0 {
-		v.DoTPort = PortDoT
-	}
-	if v.DoHPort == 0 {
-		v.DoHPort = PortDoH
-	}
-	if v.DoQPort == 0 {
-		v.DoQPort = PortDoQ
-	}
-	if v.DoH3Port == 0 {
-		v.DoH3Port = PortDoH3
-	}
-	if v.UDPTimeout == 0 {
-		v.UDPTimeout = 5 * time.Second
-	}
-	if v.UDPRetries == 0 {
-		v.UDPRetries = 2
-	}
-	if v.UDPBackoff == 0 {
-		v.UDPBackoff = 1
-	}
+	setDefault(&v.UDPPort, PortDoUDP)
+	setDefault(&v.TCPPort, PortDoTCP)
+	setDefault(&v.DoTPort, PortDoT)
+	setDefault(&v.DoHPort, PortDoH)
+	setDefault(&v.DoQPort, PortDoQ)
+	setDefault(&v.UDPTimeout, 5*time.Second)
+	setDefault(&v.UDPRetries, 2)
+	setDefault(&v.UDPBackoff, 1)
 	if len(v.DoQALPNs) == 0 {
 		v.DoQALPNs = AllDoQALPNs()
 	}
@@ -137,11 +113,10 @@ func (o *Options) withDefaults() Options {
 	return v
 }
 
-func (o *Options) tlsConfig(alpn []string) netapi.TLSConfig {
+func (o *Options) tlsConfig(alpn string) netapi.TLSConfig {
 	return netapi.TLSConfig{
 		ServerName:         o.ServerName,
-		ALPN:               alpn,
-		MaxVersion:         o.TLSMaxVersion,
+		ALPN:               []string{alpn},
 		SessionCache:       o.SessionCache,
 		InsecureSkipVerify: o.InsecureTLS,
 	}
@@ -174,10 +149,8 @@ func Connect(proto Protocol, opts Options) (Client, error) {
 		return newDoTClient(o)
 	case DoH:
 		return newDoHClient(o)
-	case DoQ:
-		return newDoQClient(o)
-	case DoH3:
-		return newDoH3Client(o)
+	case DoQ, DoH3:
+		return newQUICClient(o, proto)
 	}
 	return nil, fmt.Errorf("dox: unknown protocol %v", proto)
 }
@@ -185,18 +158,13 @@ func Connect(proto Protocol, opts Options) (Client, error) {
 // --- DoUDP ---
 
 type udpClient struct {
-	o        Options
-	sock     netapi.PacketConn
-	raddr    netip.AddrPort
-	m        Metrics
-	inFlight int
-	// mu guards pending against the read loop (a no-op lock on sim).
-	mu      sync.Locker
-	pending map[uint16]*netapi.Future[*dnsmsg.Message]
-	closed  bool
-	// refused is set when the network actively rejects the resolver port
-	// (ICMP-style unreachable from a middlebox policy): further
-	// retransmissions are pointless, so Query fails fast.
+	session
+	demux
+	sock  netapi.PacketConn
+	raddr netip.AddrPort
+	// refused is set (under mu) when the network actively rejects the
+	// resolver port (ICMP-style unreachable from a middlebox policy):
+	// further retransmissions are pointless, so Query fails fast.
 	refused bool
 }
 
@@ -205,13 +173,8 @@ func newUDPClient(o Options) (*udpClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &udpClient{
-		o:       o,
-		sock:    sock,
-		raddr:   netip.AddrPortFrom(o.Resolver, o.UDPPort),
-		mu:      o.Backend.NewLock(),
-		pending: make(map[uint16]*netapi.Future[*dnsmsg.Message]),
-	}
+	c := &udpClient{demux: newDemux(o.Backend), sock: sock, raddr: netip.AddrPortFrom(o.Resolver, o.UDPPort)}
+	c.session = session{o: o, t: c}
 	o.Backend.Go(c.readLoop)
 	return c, nil
 }
@@ -220,137 +183,102 @@ func (c *udpClient) readLoop() {
 	for {
 		d, ok := c.sock.Recv()
 		if !ok {
-			c.mu.Lock()
-			failPending(c.pending)
-			c.mu.Unlock()
+			c.failAll()
 			return
 		}
 		if d.Reject {
 			c.mu.Lock()
 			c.refused = true
-			failPending(c.pending)
 			c.mu.Unlock()
+			c.failAll()
 			continue
 		}
 		resp, err := dnsmsg.Decode(d.Payload)
 		c.sock.Pool().Put(d.Payload) // Decode copies everything it keeps
-		if err != nil {
-			continue
-		}
-		c.mu.Lock()
-		f, ok := c.pending[resp.ID]
-		if ok {
-			delete(c.pending, resp.ID)
-		}
-		c.mu.Unlock()
-		if ok {
-			f.Resolve(resp)
+		if err == nil {
+			c.deliver(resp)
 		}
 	}
 }
 
-func (c *udpClient) Query(q *dnsmsg.Message) (*dnsmsg.Message, error) {
-	if c.closed {
-		return nil, errors.New("dox: client closed")
-	}
-	txBefore, rxBefore := c.sock.Snapshot()
-	c.inFlight++
-	defer func() { c.inFlight-- }()
-	wire := q.Encode()
-	var resp *dnsmsg.Message
-	refused := false
+func (c *udpClient) exchange(q *dnsmsg.Message) (*dnsmsg.Message, error) {
+	tx0, rx0 := c.sock.Snapshot()
+	resp, err := c.retransmit(q)
+	tx, rx := c.sock.Snapshot()
+	c.m.QueryTx, c.m.QueryRx = tx-tx0, rx-rx0
+	return resp, err
+}
+
+// retransmit sends q until it is answered, refused, or out of retries.
+func (c *udpClient) retransmit(q *dnsmsg.Message) (*dnsmsg.Message, error) {
+	msg := q.Encode()
 	timeout := c.o.UDPTimeout
 	for attempt := 0; attempt <= c.o.UDPRetries; attempt++ {
-		f := netapi.NewFuture[*dnsmsg.Message](c.o.Backend, "doudp-query")
-		c.mu.Lock()
-		c.pending[q.ID] = f
-		c.mu.Unlock()
-		c.sock.Send(c.raddr, append([]byte(nil), wire...))
-		r, ok := f.WaitTimeout(timeout)
-		if ok {
-			resp = r
-			break
+		f := c.expect(c.o.Backend, q.ID, "doudp-query")
+		c.sock.Send(c.raddr, append([]byte(nil), msg...))
+		if resp, ok := f.WaitTimeout(timeout); ok {
+			return resp, nil
 		}
 		c.mu.Lock()
 		delete(c.pending, q.ID)
-		refused = c.refused
+		refused := c.refused
 		c.mu.Unlock()
-		if refused {
-			break
-		}
-		timeout = time.Duration(float64(timeout) * c.o.UDPBackoff)
-	}
-	tx, rx := c.sock.Snapshot()
-	c.m.QueryTx, c.m.QueryRx = tx-txBefore, rx-rxBefore
-	if resp == nil {
 		if refused {
 			return nil, errors.New("dox: DoUDP refused (port unreachable)")
 		}
-		return nil, errors.New("dox: DoUDP query timed out")
+		timeout = time.Duration(float64(timeout) * c.o.UDPBackoff)
 	}
-	return resp, nil
+	return nil, errors.New("dox: DoUDP query timed out")
 }
 
-func (c *udpClient) Metrics() *Metrics { return &c.m }
-func (c *udpClient) InFlight() int     { return c.inFlight }
-func (c *udpClient) Close() {
-	if !c.closed {
-		c.closed = true
-		c.sock.Close()
-	}
-}
+func (c *udpClient) shutdown() { c.sock.Close() }
 
 // --- DoTCP ---
 
+// tcpClient carries one query per connection: no resolver supports
+// edns-tcp-keepalive (paper §3), so the first query runs on the
+// connection Connect opened and every later one dials its own (2 RTT
+// per query).
 type tcpClient struct {
-	o        Options
-	raddr    netip.AddrPort
-	conn     netapi.StreamConn
-	connUsed bool
-	m        Metrics
-	inFlight int
-	closed   bool
+	session
+	raddr netip.AddrPort
+	conn  netapi.StreamConn // open connection, nil once its query is answered
+	used  bool              // the Connect-time connection has carried its query
 }
 
 func newTCPClient(o Options) (*tcpClient, error) {
-	c := &tcpClient{o: o, raddr: netip.AddrPortFrom(o.Resolver, o.TCPPort)}
+	raddr := netip.AddrPortFrom(o.Resolver, o.TCPPort)
 	start := o.Backend.Now()
-	conn, err := o.Backend.DialStream(c.raddr)
+	conn, err := o.Backend.DialStream(raddr)
 	if err != nil {
 		return nil, err
 	}
+	c := &tcpClient{raddr: raddr, conn: conn}
+	c.session = session{o: o, t: c}
 	c.m.HandshakeTime = o.Backend.Now() - start
 	// The SYN-ACK may still be counted in flight; snapshot what we have.
 	c.m.HandshakeTx, c.m.HandshakeRx = conn.Stats()
-	c.conn = conn
 	return c, nil
 }
 
-func (c *tcpClient) Query(q *dnsmsg.Message) (*dnsmsg.Message, error) {
-	if c.closed {
-		return nil, errors.New("dox: client closed")
-	}
-	c.inFlight++
-	defer func() { c.inFlight-- }()
+func (c *tcpClient) exchange(q *dnsmsg.Message) (*dnsmsg.Message, error) {
 	conn := c.conn
-	if conn == nil || c.connUsed {
-		// No resolver supports edns-tcp-keepalive (paper §3), so every
-		// query needs a fresh connection: 2 RTT per query.
+	if c.used {
 		var err error
-		conn, err = c.o.Backend.DialStream(c.raddr)
-		if err != nil {
+		if conn, err = c.o.Backend.DialStream(c.raddr); err != nil {
 			return nil, err
 		}
 		c.conn = conn
 	}
-	c.connUsed = true
-	txBefore, rxBefore := conn.Stats()
-	if err := conn.Write(prefixMessage(q.Encode())); err != nil {
+	c.used = true
+	tx0, rx0 := conn.Stats()
+	if err := conn.Write(appendPrefixed(q)); err != nil {
 		return nil, err
 	}
-	resp, err := readPrefixedMessage(conn)
+	r := prefixReader{s: conn}
+	resp, err := r.message()
 	tx, rx := conn.Stats()
-	c.m.QueryTx, c.m.QueryRx = tx-txBefore, rx-rxBefore
+	c.m.QueryTx, c.m.QueryRx = tx-tx0, rx-rx0
 	if err != nil {
 		return nil, err
 	}
@@ -359,319 +287,218 @@ func (c *tcpClient) Query(q *dnsmsg.Message) (*dnsmsg.Message, error) {
 	return resp, nil
 }
 
-func (c *tcpClient) Metrics() *Metrics { return &c.m }
-func (c *tcpClient) InFlight() int     { return c.inFlight }
-func (c *tcpClient) Close() {
-	if !c.closed {
-		c.closed = true
-		if c.conn != nil {
-			c.conn.Close()
-		}
-	}
-}
-
-// prefixMessage adds the RFC 7766 2-byte length prefix.
-func prefixMessage(wire []byte) []byte {
-	out := make([]byte, 2, 2+len(wire))
-	out[0] = byte(len(wire) >> 8)
-	out[1] = byte(len(wire))
-	return append(out, wire...)
-}
-
-// appendPrefixed encodes the message with its 2-byte length prefix in a
-// single right-sized buffer.
-//
-//simlint:hotpath
-func appendPrefixed(m *dnsmsg.Message) []byte {
-	wire := m.AppendEncode(make([]byte, 2, 2+512))
-	n := len(wire) - 2
-	wire[0] = byte(n >> 8)
-	wire[1] = byte(n)
-	return wire
-}
-
-// byteStream is the minimal reader netapi.StreamConn, tlsmini.Conn and
-// every TLS-wrapped stream satisfy.
-type byteStream interface {
-	Read() ([]byte, bool)
-}
-
-// readPrefixedMessage reads one length-prefixed DNS message.
-func readPrefixedMessage(s byteStream) (*dnsmsg.Message, error) {
-	var buf []byte
-	for {
-		if len(buf) >= 2 {
-			n := int(buf[0])<<8 | int(buf[1])
-			if len(buf) >= 2+n {
-				return dnsmsg.Decode(buf[2 : 2+n])
-			}
-		}
-		chunk, ok := s.Read()
-		if !ok {
-			return nil, errors.New("dox: connection closed mid-message")
-		}
-		buf = append(buf, chunk...)
+func (c *tcpClient) shutdown() {
+	if c.conn != nil {
+		c.conn.Close()
 	}
 }
 
 // --- DoT ---
 
 type dotClient struct {
-	o   Options
+	session
+	demux
 	tls netapi.TLSConn
-	m   Metrics
-	// mu guards pending against the read loop (a no-op lock on sim).
-	mu       sync.Locker
-	pending  map[uint16]*netapi.Future[*dnsmsg.Message]
-	inFlight int
-	closed   bool
-	rbuf     []byte
 }
 
 func newDoTClient(o Options) (*dotClient, error) {
-	raddr := netip.AddrPortFrom(o.Resolver, o.DoTPort)
 	start := o.Backend.Now()
-	tlsConn, err := o.Backend.DialTLS(raddr, o.tlsConfig([]string{"dot"}))
+	tls, err := o.Backend.DialTLS(netip.AddrPortFrom(o.Resolver, o.DoTPort), o.tlsConfig("dot"))
 	if err != nil {
 		return nil, err
 	}
-	c := &dotClient{
-		o:       o,
-		tls:     tlsConn,
-		mu:      o.Backend.NewLock(),
-		pending: make(map[uint16]*netapi.Future[*dnsmsg.Message]),
-	}
-	c.m.HandshakeTime = o.Backend.Now() - start
-	c.m.HandshakeTx, c.m.HandshakeRx = tlsConn.Stats()
-	c.m.TLSVersion = tlsConn.TLSVersion()
-	c.m.UsedResumption = tlsConn.Resumed()
+	c := &dotClient{demux: newDemux(o.Backend), tls: tls}
+	c.session = session{o: o, t: c}
+	c.recordTLS(start, tls)
 	o.Backend.Go(c.readLoop)
 	return c, nil
 }
 
 func (c *dotClient) readLoop() {
+	r := prefixReader{s: c.tls}
 	for {
-		resp, err := c.readOne()
+		resp, err := r.message()
 		if err != nil {
-			c.mu.Lock()
-			failPending(c.pending)
-			c.mu.Unlock()
+			c.failAll()
 			return
 		}
-		c.mu.Lock()
-		f, ok := c.pending[resp.ID]
-		if ok {
-			delete(c.pending, resp.ID)
-		}
-		c.mu.Unlock()
-		if ok {
-			f.Resolve(resp)
-		}
+		c.deliver(resp)
 	}
 }
 
-func (c *dotClient) readOne() (*dnsmsg.Message, error) {
-	for {
-		if len(c.rbuf) >= 2 {
-			n := int(c.rbuf[0])<<8 | int(c.rbuf[1])
-			if len(c.rbuf) >= 2+n {
-				wire := c.rbuf[2 : 2+n]
-				c.rbuf = append([]byte(nil), c.rbuf[2+n:]...)
-				return dnsmsg.Decode(wire)
-			}
-		}
-		chunk, ok := c.tls.Read()
-		if !ok {
-			return nil, errors.New("dox: DoT connection closed")
-		}
-		c.rbuf = append(c.rbuf, chunk...)
-	}
-}
-
-func (c *dotClient) Query(q *dnsmsg.Message) (*dnsmsg.Message, error) {
-	if c.closed {
-		return nil, errors.New("dox: client closed")
-	}
-	c.inFlight++
-	defer func() { c.inFlight-- }()
-	txBefore, rxBefore := c.tls.Stats()
-	f := netapi.NewFuture[*dnsmsg.Message](c.o.Backend, "dot-query")
-	c.mu.Lock()
-	c.pending[q.ID] = f
-	c.mu.Unlock()
-	if err := c.tls.Write(prefixMessage(q.Encode())); err != nil {
+func (c *dotClient) exchange(q *dnsmsg.Message) (*dnsmsg.Message, error) {
+	tx0, rx0 := c.tls.Stats()
+	f := c.expect(c.o.Backend, q.ID, "dot-query")
+	if err := c.tls.Write(appendPrefixed(q)); err != nil {
 		return nil, err
 	}
 	resp, ok := f.Wait()
 	tx, rx := c.tls.Stats()
-	c.m.QueryTx, c.m.QueryRx = tx-txBefore, rx-rxBefore
+	c.m.QueryTx, c.m.QueryRx = tx-tx0, rx-rx0
 	if !ok {
 		return nil, errors.New("dox: DoT query failed")
 	}
 	return resp, nil
 }
 
-func (c *dotClient) Metrics() *Metrics { return &c.m }
-func (c *dotClient) InFlight() int     { return c.inFlight }
-
 // Abort kills the session without a close exchange (Aborter); pending
-// queries fail through the read loop's failPending.
-func (c *dotClient) Abort() {
-	c.closed = true
-	if a, ok := c.tls.(Aborter); ok {
-		a.Abort()
-		return
-	}
-	c.tls.Close()
-}
-
-func (c *dotClient) Close() {
-	if !c.closed {
-		c.closed = true
-		c.tls.Close()
-	}
-}
+// queries fail through the read loop.
+func (c *dotClient) Abort()    { c.abort(c.tls) }
+func (c *dotClient) shutdown() { c.tls.Close() }
 
 // --- DoH ---
 
 type dohClient struct {
-	o        Options
-	h2c      *h2.ClientConn
-	hrt      httpRoundTripper // real-HTTP path (livenet); nil on sim
-	raddr    netip.AddrPort
-	tlsc     netapi.TLSConn // h2's transport, for abortive teardown
-	tlsStats func() (int, int)
-	m        Metrics
-	inFlight int
-	closed   bool
+	session
+	h2c   *h2.ClientConn
+	tls   netapi.TLSConn   // h2's transport: wire counts, abortive teardown
+	hrt   httpRoundTripper // real-HTTP path (livenet); nil on sim
+	raddr netip.AddrPort
 }
 
 func newDoHClient(o Options) (*dohClient, error) {
-	raddr := netip.AddrPortFrom(o.Resolver, o.DoHPort)
+	c := &dohClient{raddr: netip.AddrPortFrom(o.Resolver, o.DoHPort)}
+	c.session = session{o: o, t: c}
 	if hrt, ok := o.Backend.(httpRoundTripper); ok {
 		// Backend brings its own HTTP stack; connections are managed (and
 		// reused) inside it, so there is no per-session handshake to time.
-		return &dohClient{o: o, hrt: hrt, raddr: raddr}, nil
+		c.hrt = hrt
+		return c, nil
 	}
 	start := o.Backend.Now()
-	tlsConn, err := o.Backend.DialTLS(raddr, o.tlsConfig([]string{"h2"}))
+	tls, err := o.Backend.DialTLS(c.raddr, o.tlsConfig("h2"))
 	if err != nil {
 		return nil, err
 	}
-	h2c, err := h2.NewClientConn(o.Backend, tlsConn)
-	if err != nil {
+	if c.h2c, err = h2.NewClientConn(o.Backend, tls); err != nil {
 		return nil, err
 	}
-	c := &dohClient{o: o, h2c: h2c, raddr: raddr, tlsc: tlsConn, tlsStats: tlsConn.Stats}
-	c.m.HandshakeTime = o.Backend.Now() - start
-	c.m.HandshakeTx, c.m.HandshakeRx = tlsConn.Stats()
-	c.m.TLSVersion = tlsConn.TLSVersion()
-	c.m.UsedResumption = tlsConn.Resumed()
+	c.tls = tls
+	c.recordTLS(start, tls) // the HTTP/2 preface and SETTINGS count as setup
 	return c, nil
 }
 
-func (c *dohClient) Query(q *dnsmsg.Message) (*dnsmsg.Message, error) {
-	if c.closed {
-		return nil, errors.New("dox: client closed")
-	}
-	c.inFlight++
-	defer func() { c.inFlight-- }()
+func (c *dohClient) exchange(q *dnsmsg.Message) (*dnsmsg.Message, error) {
+	wire := q.Encode()
 	if c.hrt != nil {
-		status, body, err := c.hrt.RoundTripHTTP(c.o.ServerName, c.raddr, "/dns-query", c.o.InsecureTLS, q.Encode())
+		status, body, err := c.hrt.RoundTripHTTP(c.o.ServerName, c.raddr, "/dns-query", c.o.InsecureTLS, wire)
 		if err != nil {
 			return nil, err
 		}
-		if status != 200 {
-			return nil, fmt.Errorf("dox: DoH status %d", status)
-		}
-		return dnsmsg.Decode(body)
+		return httpAnswer(DoH, strconv.Itoa(status), body)
 	}
-	txBefore, rxBefore := c.tlsStats()
-	resp, err := c.h2c.RoundTrip([]h2.Header{
-		{Name: ":method", Value: "POST"},
-		{Name: ":scheme", Value: "https"},
-		{Name: ":authority", Value: c.o.ServerName},
-		{Name: ":path", Value: "/dns-query"},
-		{Name: "accept", Value: "application/dns-message"},
-		{Name: "content-type", Value: "application/dns-message"},
-		{Name: "content-length", Value: fmt.Sprint(len(q.Encode()))},
-		{Name: "user-agent", Value: "repro-dnsperf/1.0"},
-	}, q.Encode())
-	tx, rx := c.tlsStats()
-	c.m.QueryTx, c.m.QueryRx = tx-txBefore, rx-rxBefore
+	var hs [8]h2.Header
+	tx0, rx0 := c.tls.Stats()
+	resp, err := c.h2c.RoundTrip(dohRequest(&hs, c.o.ServerName, len(wire)), wire)
+	tx, rx := c.tls.Stats()
+	c.m.QueryTx, c.m.QueryRx = tx-tx0, rx-rx0
 	if err != nil {
 		return nil, err
 	}
-	if resp.Status() != "200" {
-		return nil, fmt.Errorf("dox: DoH status %s", resp.Status())
-	}
-	return dnsmsg.Decode(resp.Body)
+	return httpAnswer(DoH, resp.Status(), resp.Body)
 }
-
-func (c *dohClient) Metrics() *Metrics { return &c.m }
-func (c *dohClient) InFlight() int     { return c.inFlight }
 
 // Abort kills the transport under the HTTP/2 session (Aborter); the h2
 // read loop fails pending round trips when its stream breaks.
-func (c *dohClient) Abort() {
-	if a, ok := c.tlsc.(Aborter); ok {
-		c.closed = true
-		a.Abort()
-		return
-	}
-	c.Close()
-}
+func (c *dohClient) Abort() { c.abort(c.tls) }
 
-func (c *dohClient) Close() {
-	if !c.closed {
-		c.closed = true
-		if c.h2c != nil {
-			c.h2c.Close()
-		}
+func (c *dohClient) shutdown() {
+	if c.h2c != nil {
+		c.h2c.Close()
 	}
 }
 
-// --- DoQ ---
-
-type doqClient struct {
-	o        Options
-	conn     *quic.Conn
-	m        Metrics
-	inFlight int
-	closed   bool
+// header is the shape h2.Header and h3.Header share, so DoH and DoH3
+// build their header blocks from one literal.
+type header interface {
+	~struct{ Name, Value string }
 }
 
-func newDoQClient(o Options) (*doqClient, error) {
+// dohRequest fills hs with the header block of an RFC 8484 POST carrying
+// an n-byte query; the caller's array keeps the block off the heap.
+func dohRequest[H header](hs *[8]H, authority string, n int) []H {
+	*hs = [8]H{
+		{Name: ":method", Value: "POST"},
+		{Name: ":scheme", Value: "https"},
+		{Name: ":authority", Value: authority},
+		{Name: ":path", Value: "/dns-query"},
+		{Name: "accept", Value: "application/dns-message"},
+		{Name: "content-type", Value: "application/dns-message"},
+		{Name: "content-length", Value: strconv.Itoa(n)},
+		{Name: "user-agent", Value: "repro-dnsperf/1.0"},
+	}
+	return hs[:]
+}
+
+// httpAnswer decodes a DoH or DoH3 response body once its status is 200.
+func httpAnswer(proto Protocol, status string, body []byte) (*dnsmsg.Message, error) {
+	if status != "200" {
+		return nil, fmt.Errorf("dox: %v status %s", proto, status)
+	}
+	return dnsmsg.Decode(body)
+}
+
+// --- DoQ and DoH3 ---
+
+// quicClient serves both QUIC transports: DoQ puts each query on its own
+// stream (RFC 9250), DoH3 (h3c set) sends it as an HTTP/3 request.
+type quicClient struct {
+	session
+	conn *quic.Conn
+	h3c  *h3.ClientConn
+}
+
+// newQUICClient dials QUIC and, for DoH3, sets the control stream up. On
+// an early (0-RTT) dial the first query — and DoH3's SETTINGS — ride in
+// 0-RTT packets: DoQ frames per the offered ALPN and DoH3's framing
+// depends only on the QPACK static table, so neither needs negotiated
+// server state to serialize early data.
+func newQUICClient(o Options, proto Protocol) (*quicClient, error) {
 	qd, ok := o.Backend.(quicDialer)
 	if !ok {
-		return nil, errors.New("dox: DoQ requires a QUIC-capable backend (sim only)")
+		return nil, fmt.Errorf("dox: %v requires a QUIC-capable backend (sim only)", proto)
 	}
-	raddr := netip.AddrPortFrom(o.Resolver, o.DoQPort)
-	cfg := quic.Config{
-		ALPN:           o.DoQALPNs,
+	port, alpns := o.DoQPort, o.DoQALPNs
+	if proto == DoH3 {
+		port, alpns = PortDoH3, []string{DoH3ALPN}
+	}
+	start := o.Backend.Now()
+	conn, err := qd.DialQUIC(netip.AddrPortFrom(o.Resolver, port), quic.Config{
+		ALPN:           alpns,
 		ServerName:     o.ServerName,
 		SessionCache:   o.SessionCache,
 		OfferEarlyData: o.OfferEarlyData,
 		Token:          o.Token,
 		Versions:       o.QUICVersions,
-		TLSVersion:     o.TLSMaxVersion,
 		Rand:           o.Backend.Rand(),
 		Now:            o.Backend.Now,
-	}
-	start := o.Backend.Now()
-	conn, err := qd.DialQUIC(raddr, cfg, o.OfferEarlyData)
+	}, o.OfferEarlyData)
 	if err != nil {
 		return nil, err
 	}
-	c := &doqClient{o: o, conn: conn}
+	c := &quicClient{conn: conn}
+	c.session = session{o: o, t: c}
+	settingsTx := 0
+	if proto == DoH3 {
+		tx0, _ := conn.Stats()
+		c.h3c = h3.NewClientConn(o.Backend, conn)
+		tx, _ := conn.Stats()
+		settingsTx = tx - tx0
+	}
 	if !o.OfferEarlyData {
 		c.m.HandshakeTime = o.Backend.Now() - start
-		c.fillHandshakeMetrics()
+		c.recordHandshake()
+		// Like DoH's accounting (the HTTP/2 preface and SETTINGS count
+		// as session setup, not query bytes), fold exactly the DoH3
+		// control-stream SETTINGS just sent into the handshake tally —
+		// and nothing else, so the C->R/R->C rows stay comparable with
+		// DoQ's handshake-completion snapshot.
+		c.m.HandshakeTx += settingsTx
 	}
 	return c, nil
 }
 
-func (c *doqClient) fillHandshakeMetrics() {
+func (c *quicClient) recordHandshake() {
 	c.m.HandshakeTx, c.m.HandshakeRx = c.conn.HandshakeStats()
 	c.m.TLSVersion = c.conn.TLSVersion()
 	c.m.QUICVersion = c.conn.Version()
@@ -682,194 +509,52 @@ func (c *doqClient) fillHandshakeMetrics() {
 	c.m.UsedToken = len(c.o.Token) > 0
 }
 
-// WaitHandshake joins an early (0-RTT) dial.
-func (c *doqClient) WaitHandshake() error {
-	err := c.conn.WaitHandshake()
-	if err == nil {
-		c.m.HandshakeTime = c.conn.HandshakeTime()
-		c.fillHandshakeMetrics()
+func (c *quicClient) exchange(q *dnsmsg.Message) (*dnsmsg.Message, error) {
+	tx0, rx0 := c.conn.Stats()
+	var resp *dnsmsg.Message
+	var err error
+	if c.h3c != nil {
+		var hs [8]h3.Header
+		var r *h3.Response
+		wire := q.Encode()
+		if r, err = c.h3c.RoundTrip(dohRequest(&hs, c.o.ServerName, len(wire)), wire); err == nil {
+			resp, err = httpAnswer(DoH3, r.Status(), r.Body)
+		}
+	} else {
+		resp, err = c.askDoQ(q)
 	}
-	return err
+	tx, rx := c.conn.Stats()
+	c.m.QueryTx, c.m.QueryRx = tx-tx0, rx-rx0
+	if c.m.HandshakeTime == 0 && c.conn.HandshakeTime() > 0 {
+		// An early dial: the handshake completed during this query.
+		c.m.HandshakeTime = c.conn.HandshakeTime()
+		c.recordHandshake()
+	}
+	return resp, err
 }
 
-func (c *doqClient) Query(q *dnsmsg.Message) (*dnsmsg.Message, error) {
-	if c.closed {
-		return nil, errors.New("dox: client closed")
-	}
-	c.inFlight++
-	defer func() { c.inFlight-- }()
-	txBefore, rxBefore := c.conn.Stats()
+func (c *quicClient) askDoQ(q *dnsmsg.Message) (*dnsmsg.Message, error) {
 	st := c.conn.OpenStream()
-	// RFC 9250: queries over DoQ use message ID 0.
-	wire := q.Encode()
 	alpn := c.conn.ALPN()
 	if alpn == "" {
 		// 0-RTT dial before handshake: frame per the offered preference.
 		alpn = c.o.DoQALPNs[0]
 	}
-	if alpnUsesLengthPrefix(alpn) {
-		st.Write(prefixMessage(wire), true)
-	} else {
-		st.Write(wire, true)
-	}
+	st.Write(doqEncode(q, alpnUsesLengthPrefix(alpn)), true)
 	data, ok := st.ReadAll()
-	tx, rx := c.conn.Stats()
-	c.m.QueryTx, c.m.QueryRx = tx-txBefore, rx-rxBefore
-	if c.m.HandshakeTime == 0 && c.conn.HandshakeTime() > 0 {
-		c.fillHandshakeMetrics()
-		c.m.HandshakeTime = c.conn.HandshakeTime()
-	}
 	if !ok {
 		return nil, errors.New("dox: DoQ stream failed")
 	}
-	if alpnUsesLengthPrefix(c.conn.ALPN()) {
-		if len(data) < 2 {
-			return nil, errors.New("dox: short DoQ response")
-		}
-		n := int(data[0])<<8 | int(data[1])
-		if len(data) < 2+n {
-			return nil, errors.New("dox: truncated DoQ response")
-		}
-		data = data[2 : 2+n]
-	}
-	return dnsmsg.Decode(data)
+	return doqDecode(data, alpnUsesLengthPrefix(c.conn.ALPN()))
 }
 
-// Token returns the address-validation token the server issued.
-func (c *doqClient) Token() []byte { return c.conn.NewToken() }
+// Migrate moves the session to a new local address (Migrator).
+func (c *quicClient) Migrate() error { return c.conn.Migrate() }
 
-// Migrate moves the DoQ session to a new local address (Migrator).
-func (c *doqClient) Migrate() error { return c.conn.Migrate() }
-
-func (c *doqClient) Metrics() *Metrics { return &c.m }
-func (c *doqClient) InFlight() int     { return c.inFlight }
-func (c *doqClient) Close() {
-	if !c.closed {
-		c.closed = true
-		c.conn.Close()
-	}
-}
-
-// --- DoH3 ---
-
-type doh3Client struct {
-	o        Options
-	conn     *quic.Conn
-	h3c      *h3.ClientConn
-	m        Metrics
-	inFlight int
-	closed   bool
-}
-
-// newDoH3Client dials QUIC with the HTTP/3 ALPN and sets the control
-// stream up. On an early (0-RTT) dial the SETTINGS and the first request
-// ride in 0-RTT packets: DoH3's framing depends only on the QPACK static
-// table, so — like DoQ framing per the offered ALPN — the client needs
-// no negotiated server state to serialize early data.
-func newDoH3Client(o Options) (*doh3Client, error) {
-	qd, ok := o.Backend.(quicDialer)
-	if !ok {
-		return nil, errors.New("dox: DoH3 requires a QUIC-capable backend (sim only)")
-	}
-	raddr := netip.AddrPortFrom(o.Resolver, o.DoH3Port)
-	cfg := quic.Config{
-		ALPN:           []string{DoH3ALPN},
-		ServerName:     o.ServerName,
-		SessionCache:   o.SessionCache,
-		OfferEarlyData: o.OfferEarlyData,
-		Token:          o.Token,
-		Versions:       o.QUICVersions,
-		TLSVersion:     o.TLSMaxVersion,
-		Rand:           o.Backend.Rand(),
-		Now:            o.Backend.Now,
-	}
-	start := o.Backend.Now()
-	conn, err := qd.DialQUIC(raddr, cfg, o.OfferEarlyData)
-	if err != nil {
-		return nil, err
-	}
-	c := &doh3Client{o: o, conn: conn}
-	txBefore, _ := conn.Stats()
-	c.h3c = h3.NewClientConn(o.Backend, conn)
-	txAfter, _ := conn.Stats()
-	if !o.OfferEarlyData {
-		c.m.HandshakeTime = o.Backend.Now() - start
-		c.fillHandshakeMetrics()
-		// Like DoH's accounting (the HTTP/2 preface and SETTINGS count
-		// as session setup, not query bytes), fold exactly the
-		// control-stream SETTINGS just sent into the handshake tally —
-		// and nothing else, so the C->R/R->C rows stay comparable with
-		// DoQ's handshake-completion snapshot.
-		c.m.HandshakeTx += txAfter - txBefore
-	}
-	return c, nil
-}
-
-func (c *doh3Client) fillHandshakeMetrics() {
-	c.m.HandshakeTx, c.m.HandshakeRx = c.conn.HandshakeStats()
-	c.m.TLSVersion = c.conn.TLSVersion()
-	c.m.QUICVersion = c.conn.Version()
-	c.m.DoQALPN = c.conn.ALPN()
-	c.m.UsedResumption = c.conn.UsedResumption()
-	c.m.Used0RTT = c.conn.EarlyDataAccepted()
-	c.m.UsedVN = c.conn.VersionNegotiated()
-	c.m.UsedToken = len(c.o.Token) > 0
-}
-
-// WaitHandshake joins an early (0-RTT) dial.
-func (c *doh3Client) WaitHandshake() error {
-	err := c.conn.WaitHandshake()
-	if err == nil {
-		c.m.HandshakeTime = c.conn.HandshakeTime()
-		c.fillHandshakeMetrics()
-	}
-	return err
-}
-
-func (c *doh3Client) Query(q *dnsmsg.Message) (*dnsmsg.Message, error) {
-	if c.closed {
-		return nil, errors.New("dox: client closed")
-	}
-	c.inFlight++
-	defer func() { c.inFlight-- }()
-	txBefore, rxBefore := c.conn.Stats()
-	wire := q.Encode()
-	resp, err := c.h3c.RoundTrip([]h3.Header{
-		{Name: ":method", Value: "POST"},
-		{Name: ":scheme", Value: "https"},
-		{Name: ":authority", Value: c.o.ServerName},
-		{Name: ":path", Value: "/dns-query"},
-		{Name: "accept", Value: "application/dns-message"},
-		{Name: "content-type", Value: "application/dns-message"},
-		{Name: "content-length", Value: fmt.Sprint(len(wire))},
-		{Name: "user-agent", Value: "repro-dnsperf/1.0"},
-	}, wire)
-	tx, rx := c.conn.Stats()
-	c.m.QueryTx, c.m.QueryRx = tx-txBefore, rx-rxBefore
-	if c.m.HandshakeTime == 0 && c.conn.HandshakeTime() > 0 {
-		c.m.HandshakeTime = c.conn.HandshakeTime()
-		c.fillHandshakeMetrics()
-	}
-	if err != nil {
-		return nil, err
-	}
-	if resp.Status() != "200" {
-		return nil, fmt.Errorf("dox: DoH3 status %s", resp.Status())
-	}
-	return dnsmsg.Decode(resp.Body)
-}
-
-// Token returns the address-validation token the server issued.
-func (c *doh3Client) Token() []byte { return c.conn.NewToken() }
-
-// Migrate moves the DoH3 session to a new local address (Migrator).
-func (c *doh3Client) Migrate() error { return c.conn.Migrate() }
-
-func (c *doh3Client) Metrics() *Metrics { return &c.m }
-func (c *doh3Client) InFlight() int     { return c.inFlight }
-func (c *doh3Client) Close() {
-	if !c.closed {
-		c.closed = true
+func (c *quicClient) shutdown() {
+	if c.h3c != nil {
 		c.h3c.Close()
+	} else {
+		c.conn.Close()
 	}
 }

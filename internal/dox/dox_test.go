@@ -3,6 +3,7 @@ package dox
 import (
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -499,4 +500,207 @@ func TestUnresponsiveHandlerDropsQuery(t *testing.T) {
 	if err == nil {
 		t.Error("query succeeded despite handler dropping all attempts")
 	}
+}
+
+// TestUDPRetriesZeroMeansDefault pins the documented default: a zero
+// UDPRetries is the default of two retransmissions, not "no retries".
+func TestUDPRetriesZeroMeansDefault(t *testing.T) {
+	if got := (&Options{}).withDefaults().UDPRetries; got != 2 {
+		t.Fatalf("default UDPRetries = %d, want 2", got)
+	}
+	attempts := 0
+	e := newEnv(t, 15, 20*time.Millisecond, 0, func(c *ServerConfig) {
+		c.Handler = func(*dnsmsg.Message, Protocol, netip.AddrPort) *dnsmsg.Message {
+			attempts++
+			return nil
+		}
+	})
+	e.w.Go(func() {
+		o := e.opts()
+		o.UDPTimeout = 100 * time.Millisecond
+		o.UDPRetries = 0
+		c, err := Connect(DoUDP, o)
+		if err != nil {
+			t.Errorf("connect: %v", err)
+			return
+		}
+		q := dnsmsg.NewQuery(1, "google.com", dnsmsg.TypeA)
+		if _, err := c.Query(&q); err == nil {
+			t.Error("query answered by a handler that drops everything")
+		}
+		c.Close()
+	})
+	e.w.Run()
+	if attempts != 3 {
+		t.Errorf("server saw %d attempts, want 3 (one send + two retries)", attempts)
+	}
+}
+
+// TestClientCapabilities pins which transports implement the optional
+// interfaces: Migrator exactly the QUIC pair, Aborter exactly the
+// TCP+TLS pair (dnsproxy dispatches access changes on these).
+func TestClientCapabilities(t *testing.T) {
+	for _, proto := range AllProtocols {
+		e := newEnv(t, 16, 20*time.Millisecond, 0, nil)
+		e.w.Go(func() {
+			c, err := Connect(proto, e.opts())
+			if err != nil {
+				t.Errorf("%v connect: %v", proto, err)
+				return
+			}
+			defer c.Close()
+			_, migrates := c.(Migrator)
+			_, aborts := c.(Aborter)
+			if want := proto == DoQ || proto == DoH3; migrates != want {
+				t.Errorf("%v: Migrator = %v, want %v", proto, migrates, want)
+			}
+			if want := proto == DoT || proto == DoH; aborts != want {
+				t.Errorf("%v: Aborter = %v, want %v", proto, aborts, want)
+			}
+		})
+		e.w.Run()
+	}
+}
+
+// TestClientLifecycle pins the session contract on all six transports:
+// InFlight returns to zero after an answered and after an unanswered
+// query, Close is idempotent, and a closed client refuses queries.
+func TestClientLifecycle(t *testing.T) {
+	for _, proto := range AllProtocols {
+		for _, answered := range []bool{true, false} {
+			e := newEnv(t, 17, 40*time.Millisecond, 0, func(c *ServerConfig) {
+				if !answered {
+					c.Handler = func(*dnsmsg.Message, Protocol, netip.AddrPort) *dnsmsg.Message { return nil }
+				}
+			})
+			done := false
+			e.w.Go(func() {
+				o := e.opts()
+				o.UDPTimeout = 100 * time.Millisecond
+				c, err := Connect(proto, o)
+				if err != nil {
+					t.Errorf("%v connect: %v", proto, err)
+					return
+				}
+				// DoT and DoQ have no timeout of their own: the caller's
+				// deadline closes the session, as the racing stub does.
+				e.w.AfterFunc(2*time.Second, c.Close)
+				q := dnsmsg.NewQuery(1, "google.com", dnsmsg.TypeA)
+				if _, err := c.Query(&q); (err == nil) != answered {
+					t.Errorf("%v answered=%v: query error %v", proto, answered, err)
+				}
+				if n := c.InFlight(); n != 0 {
+					t.Errorf("%v answered=%v: InFlight = %d after the query returned", proto, answered, n)
+				}
+				c.Close()
+				c.Close()
+				if _, err := c.Query(&q); err == nil {
+					t.Errorf("%v: query on a closed client succeeded", proto)
+				}
+				done = true
+			})
+			e.w.Run()
+			if !done {
+				t.Errorf("%v answered=%v: query never returned", proto, answered)
+			}
+		}
+	}
+}
+
+// chunkStream serves fixed chunks, then EOF.
+type chunkStream [][]byte
+
+func (s *chunkStream) Read() ([]byte, bool) {
+	if len(*s) == 0 {
+		return nil, false
+	}
+	c := (*s)[0]
+	*s = (*s)[1:]
+	return c, true
+}
+
+// readAll drains a prefixReader over chunks, returning the messages read
+// before the first error.
+func readAll(chunks ...[]byte) ([]string, error) {
+	s := chunkStream(chunks)
+	r := prefixReader{s: &s}
+	var msgs []string
+	for {
+		msg, err := r.next()
+		if err != nil {
+			return msgs, err
+		}
+		msgs = append(msgs, string(msg))
+	}
+}
+
+func TestPrefixReader(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		chunks [][]byte
+		want   []string
+	}{
+		{"two messages in one chunk", [][]byte{[]byte("\x00\x02ab\x00\x03cde")}, []string{"ab", "cde"}},
+		{"split across three chunks", [][]byte{{0}, []byte("\x04ab"), []byte("cd\x00\x01e")}, []string{"abcd", "e"}},
+		{"zero-length message", [][]byte{{0, 0, 0, 1}, []byte("x")}, []string{"", "x"}},
+		{"EOF mid-message", [][]byte{[]byte("\x00\x01a\x00\x05abc")}, []string{"a"}},
+		{"EOF inside the prefix", [][]byte{[]byte("\x00\x01a\x00")}, []string{"a"}},
+	} {
+		got, err := readAll(tc.chunks...)
+		if err == nil {
+			t.Errorf("%s: no error at EOF", tc.name)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: messages %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+func TestUnprefix(t *testing.T) {
+	for _, in := range []string{"", "\x00", "\x00\x03ab"} {
+		if _, _, err := unprefix([]byte(in)); err == nil {
+			t.Errorf("unprefix(%q) accepted a short or truncated message", in)
+		}
+	}
+	msg, rest, err := unprefix([]byte("\x00\x02abc"))
+	if err != nil || string(msg) != "ab" || string(rest) != "c" {
+		t.Errorf("unprefix = %q, %q, %v; want \"ab\", \"c\", nil", msg, rest, err)
+	}
+}
+
+// FuzzPrefixReader feeds arbitrary bytes to the stream deframer in
+// arbitrary chunk splits (each byte of cuts is one chunk length). The DoT
+// server runs it on bytes off the network, so it must never panic and
+// must return exactly the complete messages of the concatenated stream,
+// in order, followed by an error.
+func FuzzPrefixReader(f *testing.F) {
+	f.Add([]byte("\x00\x02ab\x00\x03cde"), []byte{1, 3})
+	f.Add([]byte("\x00\x00\x00\x01x\xff\xff"), []byte{0, 2})
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
+		// Reference framing of the whole stream, independent of unprefix.
+		var want []string
+		for rest := data; len(rest) >= 2; {
+			n := 2 + int(rest[0])<<8 + int(rest[1])
+			if len(rest) < n {
+				break
+			}
+			want = append(want, string(rest[2:n]))
+			rest = rest[n:]
+		}
+		var chunks [][]byte
+		rest := data
+		for _, c := range cuts {
+			n := min(int(c), len(rest))
+			chunks = append(chunks, rest[:n])
+			rest = rest[n:]
+		}
+		chunks = append(chunks, rest)
+		got, err := readAll(chunks...)
+		if err == nil {
+			t.Fatal("no error at EOF")
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("messages %q, want %q", got, want)
+		}
+	})
 }

@@ -3,6 +3,7 @@ package dox
 import (
 	"fmt"
 	"net/netip"
+	"strconv"
 
 	"repro/internal/dnsmsg"
 	"repro/internal/h2"
@@ -33,35 +34,9 @@ type ServerConfig struct {
 	DoQALPN      string // the single DoQ version this resolver deploys
 	TokenKey     []byte
 
-	// Ports default to the standard ones; DoQPort may be 784/8853 for
-	// early-draft deployments.
-	UDPPort, TCPPort, DoTPort, DoHPort, DoQPort, DoH3Port uint16
-}
-
-func (c *ServerConfig) withDefaults() ServerConfig {
-	v := *c
-	if v.UDPPort == 0 {
-		v.UDPPort = PortDoUDP
-	}
-	if v.TCPPort == 0 {
-		v.TCPPort = PortDoTCP
-	}
-	if v.DoTPort == 0 {
-		v.DoTPort = PortDoT
-	}
-	if v.DoHPort == 0 {
-		v.DoHPort = PortDoH
-	}
-	if v.DoQPort == 0 {
-		v.DoQPort = PortDoQ
-	}
-	if v.DoH3Port == 0 {
-		v.DoH3Port = PortDoH3
-	}
-	if v.DoQALPN == "" {
-		v.DoQALPN = DoQALPNRFC
-	}
-	return v
+	// DoQPort defaults to PortDoQ; early-draft deployments use 784 or
+	// 8853. The other transports listen on their standard ports.
+	DoQPort uint16
 }
 
 // quicListener is the capability a backend provides when it can accept
@@ -75,22 +50,34 @@ type Server struct {
 	be  netapi.Backend
 	cfg ServerConfig
 
-	udpSock netapi.PacketConn
-	tcpL    netapi.StreamListener
-	dotL    netapi.StreamListener
-	dohL    netapi.StreamListener
-	doqL    *quic.Listener
-	doh3L   *quic.Listener
+	// endpoints are the started sockets and listeners, closed in start
+	// order. They append into endpointArr, so starting all six
+	// transports allocates no slice.
+	endpoints   []interface{ Close() }
+	endpointArr [6]interface{ Close() }
 
-	// Free lists for the per-query task argument boxes, so steady-state
-	// request dispatch spawns through pre-bound adapters (GoCall) with
-	// neither a closure nor a fresh carrier allocation. The sim world
-	// runs one task at a time, so no locking is needed.
-	udpFree []*udpJob
-	tcpFree []*tcpJob
-	dotFree []*dotJob
-	doqFree []*doqJob
+	udpFree freeList[udpJob]
+	tcpFree freeList[tcpJob]
+	dotFree freeList[dotJob]
+	doqFree freeList[doqJob]
 }
+
+// freeList recycles per-query task argument boxes, so steady-state
+// request dispatch spawns through pre-bound adapters (GoCall) with
+// neither a closure nor a fresh carrier allocation. The sim world runs
+// one task at a time, so no locking is needed.
+type freeList[T any] []*T
+
+func (l *freeList[T]) get() *T {
+	if n := len(*l); n > 0 {
+		j := (*l)[n-1]
+		*l = (*l)[:n-1]
+		return j
+	}
+	return new(T)
+}
+
+func (l *freeList[T]) put(j *T) { *l = append(*l, j) }
 
 // udpJob carries one DoUDP query from the receive loop to its task.
 type udpJob struct {
@@ -108,7 +95,7 @@ func serveUDPJob(v any) {
 	j := v.(*udpJob)
 	s, sock, p := j.s, j.sock, j.p
 	j.s, j.sock, j.p = nil, nil, netapi.Packet{}
-	s.udpFree = append(s.udpFree, j)
+	s.udpFree.put(j)
 	q, err := dnsmsg.Decode(p.Payload)
 	sock.Pool().Put(p.Payload)
 	if err != nil {
@@ -132,14 +119,12 @@ func serveTCPJob(v any) {
 	j := v.(*tcpJob)
 	s, conn := j.s, j.conn
 	j.s, j.conn = nil, nil
-	s.tcpFree = append(s.tcpFree, j)
-	q, err := readPrefixedMessage(conn)
-	if err != nil {
-		conn.Close()
-		return
-	}
-	if resp := s.cfg.Handler(q, DoTCP, conn.RemoteAddr()); resp != nil {
-		conn.Write(appendPrefixed(resp))
+	s.tcpFree.put(j)
+	r := prefixReader{s: conn}
+	if q, err := r.message(); err == nil {
+		if resp := s.cfg.Handler(q, DoTCP, conn.RemoteAddr()); resp != nil {
+			conn.Write(appendPrefixed(resp))
+		}
 	}
 	conn.Close()
 }
@@ -157,7 +142,7 @@ func serveDoTJob(v any) {
 	j := v.(*dotJob)
 	s, tls, from, wire := j.s, j.tls, j.from, j.wire
 	j.s, j.tls, j.wire = nil, nil, nil
-	s.dotFree = append(s.dotFree, j)
+	s.dotFree.put(j)
 	q, err := dnsmsg.Decode(wire)
 	if err != nil {
 		return
@@ -179,62 +164,44 @@ func serveDoQJob(v any) {
 	j := v.(*doqJob)
 	s, conn, st, prefixed := j.s, j.conn, j.st, j.prefixed
 	j.s, j.conn, j.st = nil, nil, nil
-	s.doqFree = append(s.doqFree, j)
+	s.doqFree.put(j)
 	data, ok := st.ReadAll()
 	if !ok {
 		return
 	}
-	if prefixed {
-		if len(data) < 2 {
-			return
-		}
-		n := int(data[0])<<8 | int(data[1])
-		if len(data) < 2+n {
-			return
-		}
-		data = data[2 : 2+n]
-	}
-	q, err := dnsmsg.Decode(data)
+	q, err := doqDecode(data, prefixed)
 	if err != nil {
 		return
 	}
-	resp := s.cfg.Handler(q, DoQ, conn.RemoteAddr())
-	if resp == nil {
-		return
-	}
-	if prefixed {
-		st.Write(appendPrefixed(resp), true)
-	} else {
-		st.Write(resp.Encode(), true)
+	if resp := s.cfg.Handler(q, DoQ, conn.RemoteAddr()); resp != nil {
+		st.Write(doqEncode(resp, prefixed), true)
 	}
 }
 
 // NewServer creates a server; call the Serve* methods to enable
 // transports.
 func NewServer(be netapi.Backend, cfg ServerConfig) *Server {
-	return &Server{be: be, cfg: cfg.withDefaults()}
+	setDefault(&cfg.DoQPort, PortDoQ)
+	setDefault(&cfg.DoQALPN, DoQALPNRFC)
+	s := &Server{be: be, cfg: cfg}
+	s.endpoints = s.endpointArr[:0]
+	return s
 }
 
 // ServeUDP starts the DoUDP endpoint.
 func (s *Server) ServeUDP() error {
-	sock, err := s.be.ListenUDP(s.cfg.UDPPort, 8)
+	sock, err := s.be.ListenUDP(PortDoUDP, 8)
 	if err != nil {
 		return err
 	}
-	s.udpSock = sock
+	s.endpoints = append(s.endpoints, sock)
 	s.be.Go(func() {
 		for {
 			p, ok := sock.Recv()
 			if !ok {
 				return
 			}
-			var j *udpJob
-			if n := len(s.udpFree); n > 0 {
-				j = s.udpFree[n-1]
-				s.udpFree = s.udpFree[:n-1]
-			} else {
-				j = &udpJob{}
-			}
+			j := s.udpFree.get()
 			j.s, j.sock, j.p = s, sock, p
 			s.be.GoCall(serveUDPJob, j)
 		}
@@ -244,47 +211,48 @@ func (s *Server) ServeUDP() error {
 
 // ServeTCP starts the DoTCP endpoint. Connections close after one
 // exchange: no public resolver supports edns-tcp-keepalive (paper §3).
-func (s *Server) ServeTCP() error {
-	l, err := s.be.ListenStream(s.cfg.TCPPort)
+func (s *Server) ServeTCP() error { return s.listenStream(DoTCP, PortDoTCP) }
+
+// ServeDoT starts the DoT endpoint. Connections persist across queries.
+func (s *Server) ServeDoT() error { return s.listenStream(DoT, PortDoT) }
+
+// ServeDoH starts the DoH endpoint (HTTP/2 over TLS).
+func (s *Server) ServeDoH() error { return s.listenStream(DoH, PortDoH) }
+
+// listenStream starts the stream endpoint of proto (DoTCP, DoT or DoH).
+func (s *Server) listenStream(proto Protocol, port uint16) error {
+	l, err := s.be.ListenStream(port)
 	if err != nil {
 		return err
 	}
-	s.tcpL = l
+	s.endpoints = append(s.endpoints, l)
 	s.be.Go(func() {
 		for {
 			conn, ok := l.Accept()
 			if !ok {
 				return
 			}
-			var j *tcpJob
-			if n := len(s.tcpFree); n > 0 {
-				j = s.tcpFree[n-1]
-				s.tcpFree = s.tcpFree[:n-1]
+			if proto == DoTCP {
+				j := s.tcpFree.get()
+				j.s, j.conn = s, conn
+				s.be.GoCall(serveTCPJob, j)
 			} else {
-				j = &tcpJob{}
+				s.be.Go(func() { s.serveTLS(proto, conn) })
 			}
-			j.s, j.conn = s, conn
-			s.be.GoCall(serveTCPJob, j)
 		}
 	})
 	return nil
 }
 
-// answerMaxAge derives the HTTP cache-control lifetime from the DNS
-// answer's remaining TTL, so the HTTP transports' cache metadata tracks
-// the resolver's shared answer cache instead of a fixed constant
-// (answerless responses keep the historical 60s).
-func answerMaxAge(resp *dnsmsg.Message) string {
-	ttl := uint32(60)
-	if len(resp.Answers) > 0 {
-		ttl = resp.Answers[0].TTL
+// serveTLS runs one DoT or DoH connection: the server side of the TLS
+// handshake, then the transport's framing until the peer disconnects.
+func (s *Server) serveTLS(proto Protocol, conn netapi.StreamConn) {
+	alpn := "dot"
+	if proto == DoH {
+		alpn = "h2"
 	}
-	return fmt.Sprintf("max-age=%d", ttl)
-}
-
-func (s *Server) tlsServerConfig(alpn []string) tlsmini.Config {
-	return tlsmini.Config{
-		ALPN:                  alpn,
+	tls := tlsmini.NewConn(conn, tlsmini.Config{
+		ALPN:                  []string{alpn},
 		Identity:              s.cfg.Identity,
 		Version:               s.cfg.TLSVersion,
 		TicketStore:           s.cfg.TicketStore,
@@ -292,112 +260,73 @@ func (s *Server) tlsServerConfig(alpn []string) tlsmini.Config {
 		AcceptEarlyData:       s.cfg.AcceptEarlyData,
 		Rand:                  s.be.Rand(),
 		Now:                   s.be.Now,
-	}
-}
-
-// ServeDoT starts the DoT endpoint. Connections persist across queries.
-func (s *Server) ServeDoT() error {
-	l, err := s.be.ListenStream(s.cfg.DoTPort)
-	if err != nil {
-		return err
-	}
-	s.dotL = l
-	s.be.Go(func() {
-		for {
-			conn, ok := l.Accept()
-			if !ok {
-				return
-			}
-			s.be.Go(func() {
-				tls := tlsmini.NewConn(conn, s.tlsServerConfig([]string{"dot"}))
-				if err := tls.Handshake(); err != nil {
-					conn.Close()
-					return
-				}
-				// Extract length-prefixed queries from the TLS stream,
-				// consuming buf through a cursor instead of re-copying the
-				// remainder after every query.
-				var buf []byte
-				off := 0
-				for {
-					for len(buf)-off >= 2 {
-						n := int(buf[off])<<8 | int(buf[off+1])
-						if len(buf)-off < 2+n {
-							break
-						}
-						wire := append([]byte(nil), buf[off+2:off+2+n]...)
-						off += 2 + n
-						var j *dotJob
-						if l := len(s.dotFree); l > 0 {
-							j = s.dotFree[l-1]
-							s.dotFree = s.dotFree[:l-1]
-						} else {
-							j = &dotJob{}
-						}
-						j.s, j.tls, j.from, j.wire = s, tls, conn.RemoteAddr(), wire
-						s.be.GoCall(serveDoTJob, j)
-					}
-					if off == len(buf) {
-						buf = buf[:0]
-						off = 0
-					}
-					chunk, ok := tls.Read()
-					if !ok {
-						conn.Close()
-						return
-					}
-					buf = append(buf, chunk...)
-				}
-			})
-		}
 	})
-	return nil
-}
-
-// ServeDoH starts the DoH endpoint (HTTP/2 over TLS).
-func (s *Server) ServeDoH() error {
-	l, err := s.be.ListenStream(s.cfg.DoHPort)
-	if err != nil {
-		return err
+	if err := tls.Handshake(); err != nil {
+		conn.Close()
+		return
 	}
-	s.dohL = l
-	s.be.Go(func() {
-		for {
-			conn, ok := l.Accept()
-			if !ok {
-				return
-			}
-			s.be.Go(func() {
-				tls := tlsmini.NewConn(conn, s.tlsServerConfig([]string{"h2"}))
-				if err := tls.Handshake(); err != nil {
-					conn.Close()
-					return
-				}
-				remote := conn.RemoteAddr()
-				h2.ServeConn(s.be, tls, func(headers []h2.Header, body []byte) ([]h2.Header, []byte) {
-					q, err := dnsmsg.Decode(body)
-					if err != nil {
-						return []h2.Header{{Name: ":status", Value: "400"}}, nil
-					}
-					resp := s.cfg.Handler(q, DoH, remote)
-					if resp == nil {
-						return []h2.Header{{Name: ":status", Value: "503"}}, nil
-					}
-					wire := resp.Encode()
-					return []h2.Header{
-						{Name: ":status", Value: "200"},
-						{Name: "content-type", Value: "application/dns-message"},
-						{Name: "cache-control", Value: answerMaxAge(resp)},
-					}, wire
-				})
-			})
+	remote := conn.RemoteAddr()
+	if proto == DoH {
+		h2.ServeConn(s.be, tls, func(_ []h2.Header, body []byte) ([]h2.Header, []byte) {
+			return answerHTTP[h2.Header](s, DoH, remote, body)
+		})
+		return
+	}
+	// DoT: each length-prefixed query is answered in its own task.
+	r := prefixReader{s: tls}
+	for {
+		msg, err := r.next()
+		if err != nil {
+			conn.Close()
+			return
 		}
-	})
-	return nil
+		j := s.dotFree.get()
+		j.s, j.tls, j.from, j.wire = s, tls, remote, append([]byte(nil), msg...)
+		s.be.GoCall(serveDoTJob, j)
+	}
 }
 
-func (s *Server) quicServerConfig(alpn string) quic.Config {
-	return quic.Config{
+// answerHTTP serves one DoH or DoH3 request body: 400 for an undecodable
+// query, 503 when the handler drops it, otherwise the answer with an HTTP
+// cache lifetime derived from its remaining TTL, so the HTTP transports'
+// cache metadata tracks the resolver's shared answer cache (answerless
+// responses keep the historical 60s).
+func answerHTTP[H header](s *Server, proto Protocol, from netip.AddrPort, body []byte) ([]H, []byte) {
+	q, err := dnsmsg.Decode(body)
+	if err != nil {
+		return []H{{Name: ":status", Value: "400"}}, nil
+	}
+	resp := s.cfg.Handler(q, proto, from)
+	if resp == nil {
+		return []H{{Name: ":status", Value: "503"}}, nil
+	}
+	ttl := uint32(60)
+	if len(resp.Answers) > 0 {
+		ttl = resp.Answers[0].TTL
+	}
+	return []H{
+		{Name: ":status", Value: "200"},
+		{Name: "content-type", Value: "application/dns-message"},
+		{Name: "cache-control", Value: "max-age=" + strconv.FormatUint(uint64(ttl), 10)},
+	}, resp.Encode()
+}
+
+// ServeDoQ starts the DoQ endpoint.
+func (s *Server) ServeDoQ() error { return s.listenQUIC(DoQ, s.cfg.DoQPort, s.cfg.DoQALPN) }
+
+// ServeDoH3 starts the DoH3 endpoint: HTTP/3 over QUIC with the "h3"
+// ALPN, sharing the resolver's ticket store and token key with DoQ so a
+// session warmed on either QUIC transport resumes with the same
+// machinery.
+func (s *Server) ServeDoH3() error { return s.listenQUIC(DoH3, PortDoH3, DoH3ALPN) }
+
+// listenQUIC starts the QUIC endpoint of proto (DoQ or DoH3).
+func (s *Server) listenQUIC(proto Protocol, port uint16, alpn string) error {
+	ql, ok := s.be.(quicListener)
+	if !ok {
+		return fmt.Errorf("dox: %v requires a QUIC-capable backend (sim only)", proto)
+	}
+	l, err := ql.ListenQUIC(port, quic.Config{
 		ALPN:                  []string{alpn},
 		Identity:              s.cfg.Identity,
 		TicketStore:           s.cfg.TicketStore,
@@ -410,91 +339,44 @@ func (s *Server) quicServerConfig(alpn string) quic.Config {
 		TokenKey:   s.cfg.TokenKey,
 		Rand:       s.be.Rand(),
 		Now:        s.be.Now,
-	}
-}
-
-// ServeDoQ starts the DoQ endpoint.
-func (s *Server) ServeDoQ() error {
-	ql, ok := s.be.(quicListener)
-	if !ok {
-		return fmt.Errorf("dox: DoQ requires a QUIC-capable backend (sim only)")
-	}
-	l, err := ql.ListenQUIC(s.cfg.DoQPort, s.quicServerConfig(s.cfg.DoQALPN))
+	})
 	if err != nil {
 		return err
 	}
-	s.doqL = l
+	s.endpoints = append(s.endpoints, l)
+	s.be.Go(func() {
+		for {
+			conn, ok := l.Accept()
+			if !ok {
+				return
+			}
+			s.be.Go(func() { s.serveQUIC(proto, conn) })
+		}
+	})
+	return nil
+}
+
+// serveQUIC runs one DoQ or DoH3 connection until the peer disconnects.
+func (s *Server) serveQUIC(proto Protocol, conn *quic.Conn) {
+	if proto == DoH3 {
+		remote := conn.RemoteAddr()
+		h3.ServeConn(s.be, conn, func(_ []h3.Header, body []byte) ([]h3.Header, []byte) {
+			return answerHTTP[h3.Header](s, DoH3, remote, body)
+		})
+		return
+	}
+	// DoQ: each stream carries one query (RFC 9250), answered in its own
+	// task.
 	prefixed := alpnUsesLengthPrefix(s.cfg.DoQALPN)
-	s.be.Go(func() {
-		for {
-			conn, ok := l.Accept()
-			if !ok {
-				return
-			}
-			s.be.Go(func() {
-				for {
-					st, ok := conn.AcceptStream()
-					if !ok {
-						return
-					}
-					var j *doqJob
-					if n := len(s.doqFree); n > 0 {
-						j = s.doqFree[n-1]
-						s.doqFree = s.doqFree[:n-1]
-					} else {
-						j = &doqJob{}
-					}
-					j.s, j.conn, j.st, j.prefixed = s, conn, st, prefixed
-					s.be.GoCall(serveDoQJob, j)
-				}
-			})
+	for {
+		st, ok := conn.AcceptStream()
+		if !ok {
+			return
 		}
-	})
-	return nil
-}
-
-// ServeDoH3 starts the DoH3 endpoint: HTTP/3 over QUIC with the "h3"
-// ALPN, sharing the resolver's ticket store and token key with DoQ so a
-// session warmed on either QUIC transport resumes with the same
-// machinery.
-func (s *Server) ServeDoH3() error {
-	ql, ok := s.be.(quicListener)
-	if !ok {
-		return fmt.Errorf("dox: DoH3 requires a QUIC-capable backend (sim only)")
+		j := s.doqFree.get()
+		j.s, j.conn, j.st, j.prefixed = s, conn, st, prefixed
+		s.be.GoCall(serveDoQJob, j)
 	}
-	l, err := ql.ListenQUIC(s.cfg.DoH3Port, s.quicServerConfig(DoH3ALPN))
-	if err != nil {
-		return err
-	}
-	s.doh3L = l
-	s.be.Go(func() {
-		for {
-			conn, ok := l.Accept()
-			if !ok {
-				return
-			}
-			remote := conn.RemoteAddr()
-			s.be.Go(func() {
-				h3.ServeConn(s.be, conn, func(headers []h3.Header, body []byte) ([]h3.Header, []byte) {
-					q, err := dnsmsg.Decode(body)
-					if err != nil {
-						return []h3.Header{{Name: ":status", Value: "400"}}, nil
-					}
-					resp := s.cfg.Handler(q, DoH3, remote)
-					if resp == nil {
-						return []h3.Header{{Name: ":status", Value: "503"}}, nil
-					}
-					wire := resp.Encode()
-					return []h3.Header{
-						{Name: ":status", Value: "200"},
-						{Name: "content-type", Value: "application/dns-message"},
-						{Name: "cache-control", Value: answerMaxAge(resp)},
-					}, wire
-				})
-			})
-		}
-	})
-	return nil
 }
 
 // ServeAll enables every transport, returning the first error.
@@ -509,17 +391,7 @@ func (s *Server) ServeAll() error {
 
 // Close stops all endpoints.
 func (s *Server) Close() {
-	if s.udpSock != nil {
-		s.udpSock.Close()
-	}
-	for _, l := range []netapi.StreamListener{s.tcpL, s.dotL, s.dohL} {
-		if l != nil {
-			l.Close()
-		}
-	}
-	for _, l := range []*quic.Listener{s.doqL, s.doh3L} {
-		if l != nil {
-			l.Close()
-		}
+	for _, e := range s.endpoints {
+		e.Close()
 	}
 }

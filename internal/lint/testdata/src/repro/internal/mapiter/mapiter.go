@@ -113,7 +113,7 @@ func SpawnThroughSeam(rt netapi.Runtime, waiting map[string]func()) {
 	}
 }
 
-// FailPendingSorted is the sanctioned idiom (dox.failPending): wake in
+// FailPendingSorted is the sanctioned idiom (dox demux.failAll): wake in
 // ascending key order.
 func FailPendingSorted(pending map[uint16]*netapi.Future[int]) {
 	keys := make([]uint16, 0, len(pending))

@@ -344,9 +344,6 @@ func (b *Backend) DialTLS(raddr netip.AddrPort, cfg netapi.TLSConfig) (netapi.TL
 		NextProtos:         cfg.ALPN,
 		InsecureSkipVerify: cfg.InsecureSkipVerify,
 	}
-	if cfg.MaxVersion != 0 {
-		tcfg.MaxVersion = uint16(cfg.MaxVersion)
-	}
 	if cfg.SessionCache != nil {
 		// The seam's cache type is tlsmini's; crypto/tls cannot share its
 		// entries, so a non-nil cache means "resumption wanted" and the

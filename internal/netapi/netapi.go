@@ -152,9 +152,6 @@ type StreamListener interface {
 type TLSConfig struct {
 	ServerName string
 	ALPN       []string
-	// MaxVersion caps the offered TLS version (zero: the backend's
-	// default, TLS 1.3).
-	MaxVersion tlsmini.Version
 	// SessionCache enables session resumption across connections.
 	SessionCache *tlsmini.SessionCache
 	// InsecureSkipVerify disables certificate verification on backends

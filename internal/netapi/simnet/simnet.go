@@ -218,7 +218,6 @@ func (b *Backend) DialTLS(raddr netip.AddrPort, cfg netapi.TLSConfig) (netapi.TL
 		IsClient:     true,
 		ServerName:   cfg.ServerName,
 		ALPN:         cfg.ALPN,
-		Version:      cfg.MaxVersion,
 		SessionCache: cfg.SessionCache,
 		Rand:         b.rng,
 		Now:          b.w.Now,

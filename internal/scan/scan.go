@@ -598,7 +598,6 @@ func (s *Scanner) checkDoX(tgt *Target, proto dox.Protocol) bool {
 			Resolver:   tgt.Addr,
 			ServerName: tgt.Addr.String(),
 			UDPTimeout: s.timeout(),
-			UDPRetries: 0,
 		})
 		if err != nil {
 			f.Resolve(result{false})
