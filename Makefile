@@ -16,7 +16,7 @@ test:
 
 race:
 	go test -race ./...
-	go test -race -count=1 -run 'Deterministic|Parallel' ./internal/...
+	go test -race -count=1 -run 'Deterministic|Parallel|Golden' ./internal/...
 
 # live-smoke exercises the netapi/livenet backend over real loopback
 # sockets (a UDP + TLS DNS responder on 127.0.0.1 ephemeral ports) and
@@ -80,11 +80,7 @@ bench-check:
 		esac; \
 	done
 
-# determinism diffs representative experiments at -parallel 1 vs 8.
+# determinism runs the byte-identity tests: every report at parallelism
+# 1 vs 8 and its campaign-level siblings, plus the golden reports.
 determinism:
-	@for id in E4 E12 E13 E16 E19 E20 E22 E23 E24 E25 E26 E27; do \
-		go run ./cmd/experiments -id $$id -parallel 1 > /tmp/$$id-p1.txt; \
-		go run ./cmd/experiments -id $$id -parallel 8 > /tmp/$$id-p8.txt; \
-		diff -u /tmp/$$id-p1.txt /tmp/$$id-p8.txt || exit 1; \
-		echo "$$id deterministic"; \
-	done
+	go test -count=1 -run 'Deterministic|Golden' ./...

@@ -1,10 +1,11 @@
 // Command experiments regenerates every table and figure of the paper,
 // plus the DoH3 sixth-transport artifacts E13–E15, the caching /
 // Zipf-workload artifacts E16–E18, the dynamic-link-model artifacts
-// E19–E21 (access-network grids and Gilbert–Elliott burst loss), and
-// the proxy serving-semantics artifacts E22–E24 (coalescing,
-// serve-stale, prefetch; see DESIGN.md §4 for the experiment index). By
-// default it runs all twenty-four experiments at a fast,
+// E19–E21 (access-network grids and Gilbert–Elliott burst loss), the
+// proxy serving-semantics artifacts E22–E24 (coalescing, serve-stale,
+// prefetch), and the hostile-network artifacts E25–E27 (racing,
+// migration, failover; see DESIGN.md §4 for the experiment index). By
+// default it runs all twenty-seven experiments at a fast,
 // shape-preserving scale; -full uses the paper's population sizes.
 //
 // Campaigns execute as sharded parallel campaigns: -parallel N sizes the

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -27,19 +28,16 @@ func tiny() Config {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	ids := map[string]bool{}
-	for _, e := range All() {
-		if ids[e.ID] {
-			t.Errorf("duplicate experiment %s", e.ID)
+	all := All()
+	if len(all) != 27 {
+		t.Fatalf("registry has %d experiments, want E1..E27", len(all))
+	}
+	for i, e := range all {
+		if want := fmt.Sprintf("E%d", i+1); e.ID != want {
+			t.Errorf("experiment %d is %s, want %s", i, e.ID, want)
 		}
-		ids[e.ID] = true
 		if e.Artifact == "" || e.About == "" || e.Run == nil {
 			t.Errorf("experiment %s incomplete", e.ID)
-		}
-	}
-	for _, want := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E20", "E21", "E22", "E23", "E24"} {
-		if !ids[want] {
-			t.Errorf("missing experiment %s", want)
 		}
 	}
 	if _, ok := ByID("E4"); !ok {
@@ -95,7 +93,7 @@ func TestSingleQueryCachedAcrossExperiments(t *testing.T) {
 }
 
 // TestReportsDeterministicAcrossParallelism enforces the acceptance
-// criterion that every experiment E1-E18 — the DoH3 campaigns and the
+// criterion that every experiment E1-E27 — the DoH3 campaigns and the
 // cache/Zipf campaigns included — emits a byte-identical report at
 // parallelism 1 and parallelism 8 for the same seed. Each parallelism
 // level gets a fresh Runner so campaign caches cannot mask a
