@@ -21,8 +21,6 @@ type CacheWorkloadConfig struct {
 	// Blueprint is the resolver population; the campaign is partitioned
 	// by vantage and resolver block like the other sharded campaigns.
 	Blueprint *resolver.Blueprint
-	// Seed is the campaign seed (default: the blueprint's seed).
-	Seed int64
 	// Parallelism caps the worker pool (0 = GOMAXPROCS); wall time
 	// only, never results.
 	Parallelism int
@@ -39,20 +37,16 @@ type CacheWorkloadConfig struct {
 	Names int
 	// Skew is the Zipf exponent (default 1.2; must be > 1).
 	Skew float64
-	// QueryInterval spaces queries in virtual time (default 1s), which
-	// is what makes TTL expiry observable: a popular name is refreshed
-	// before its TTL lapses, an unpopular one expires in between.
-	QueryInterval time.Duration
 
-	// StubCache adds a client-side answer cache in front of the
-	// transport: repeated names within TTL never leave the vantage.
+	// StubCache adds an unbounded client-side answer cache in front of
+	// the transport: repeated names within TTL never leave the vantage.
 	StubCache bool
-	// StubCacheCapacity bounds the stub cache (LRU); 0 = unbounded.
-	StubCacheCapacity int
-
-	// QueryTimeout bounds one query (default 15s).
-	QueryTimeout time.Duration
 }
+
+// cacheQueryInterval spaces a stream's queries in virtual time, which is
+// what makes TTL expiry observable: a popular name is refreshed before
+// its TTL lapses, an unpopular one expires in between.
+const cacheQueryInterval = time.Second
 
 func (c *CacheWorkloadConfig) defaults() {
 	if c.Queries == 0 {
@@ -64,17 +58,8 @@ func (c *CacheWorkloadConfig) defaults() {
 	if c.Skew == 0 {
 		c.Skew = 1.2
 	}
-	if c.QueryInterval == 0 {
-		c.QueryInterval = time.Second
-	}
-	if c.QueryTimeout == 0 {
-		c.QueryTimeout = 15 * time.Second
-	}
 	if c.ResolverBlock == 0 {
 		c.ResolverBlock = 8
-	}
-	if c.Seed == 0 && c.Blueprint != nil {
-		c.Seed = c.Blueprint.Seed
 	}
 }
 
@@ -141,7 +126,7 @@ func MergeCacheSummaries(parts []CacheWorkloadSummary) CacheWorkloadSummary {
 // summary stream byte-identical at any parallelism.
 func RunCacheWorkload(cfg CacheWorkloadConfig) ([]CacheWorkloadSummary, error) {
 	cfg.defaults()
-	return runSharded(cfg.Blueprint, cfg.Seed, cfg.Parallelism, cfg.ResolverBlock,
+	return runSharded(cfg.Blueprint, cfg.Parallelism, cfg.ResolverBlock,
 		func(u *resolver.Universe, vp *resolver.Vantage) []CacheWorkloadSummary {
 			var out []CacheWorkloadSummary
 			for idx, res := range u.Resolvers {
@@ -159,11 +144,11 @@ func runCacheStream(u *resolver.Universe, vp *resolver.Vantage, globalIdx int, r
 	w := u.W
 	s := newCacheSummary(vp.Name, globalIdx, cfg.Protocol)
 	wl := NewZipfWorkload(
-		rand.New(rand.NewSource(sim.DeriveSeed(cfg.Seed, 0x21BF, uint64(vp.Index), uint64(globalIdx)))),
+		rand.New(rand.NewSource(sim.DeriveSeed(cfg.Blueprint.Seed, 0x21BF, uint64(vp.Index), uint64(globalIdx)))),
 		cfg.Skew, cfg.Names)
 	var stub *cache.Cache
 	if cfg.StubCache {
-		stub = cache.New(w.Now, cfg.StubCacheCapacity)
+		stub = cache.New(w.Now, 0)
 	}
 	statsBefore := res.CacheStats()
 
@@ -176,7 +161,7 @@ func runCacheStream(u *resolver.Universe, vp *resolver.Vantage, globalIdx int, r
 	var qid uint16
 	for i := 0; i < cfg.Queries; i++ {
 		if i > 0 {
-			w.Sleep(cfg.QueryInterval)
+			w.Sleep(cacheQueryInterval)
 		}
 		name, _ := wl.Next()
 		qid++
@@ -212,7 +197,7 @@ func runCacheStream(u *resolver.Universe, vp *resolver.Vantage, globalIdx int, r
 			client = c
 		}
 		before := res.CacheStats()
-		elapsed, resp, ok := cacheStreamQuery(w, client, &q, cfg.QueryTimeout)
+		elapsed, resp, ok := cacheStreamQuery(w, client, &q)
 		if !ok {
 			// Timeout or transport error: drop the session so the next
 			// query reconnects cleanly.
@@ -243,7 +228,7 @@ func runCacheStream(u *resolver.Universe, vp *resolver.Vantage, globalIdx int, r
 
 // cacheStreamQuery runs one bounded query on an established client and
 // returns the resolve time and the response.
-func cacheStreamQuery(w *sim.World, client dox.Client, q *dnsmsg.Message, timeout time.Duration) (time.Duration, *dnsmsg.Message, bool) {
+func cacheStreamQuery(w *sim.World, client dox.Client, q *dnsmsg.Message) (time.Duration, *dnsmsg.Message, bool) {
 	type outcome struct {
 		elapsed time.Duration
 		resp    *dnsmsg.Message
@@ -258,6 +243,6 @@ func cacheStreamQuery(w *sim.World, client dox.Client, q *dnsmsg.Message, timeou
 		}
 		done.Resolve(outcome{elapsed: w.Now() - start, resp: resp})
 	})
-	o, alive := done.WaitTimeout(timeout)
+	o, alive := done.WaitTimeout(queryTimeout)
 	return o.elapsed, o.resp, alive && o.elapsed >= 0
 }

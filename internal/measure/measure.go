@@ -90,9 +90,6 @@ type SingleQueryConfig struct {
 	// vantage and resolver block, and every shard instantiates its
 	// partition of the blueprint in a private World.
 	Blueprint *resolver.Blueprint
-	// Seed is the campaign seed for the sharded path (default: the
-	// blueprint's seed).
-	Seed int64
 	// Parallelism caps the worker pool (0 = GOMAXPROCS). It affects wall
 	// time only, never results.
 	Parallelism int
@@ -108,8 +105,6 @@ type SingleQueryConfig struct {
 	Rounds int
 	// RoundInterval spaces rounds in virtual time (default 2h).
 	RoundInterval time.Duration
-	// Domain is the queried name (paper: an A record for google.com).
-	Domain string
 	// DisableResumption is the E10 ablation: the measured connection
 	// starts from a cold session (no ticket, no token) and is therefore
 	// exposed to the amplification limit.
@@ -127,9 +122,16 @@ type SingleQueryConfig struct {
 	// path schedule use it to spread measurements across the schedule's
 	// phases.
 	QuerySpacing time.Duration
-	// QueryTimeout bounds one query (default 15s).
-	QueryTimeout time.Duration
 }
+
+const (
+	// queryDomain is the queried name (paper: an A record for google.com).
+	queryDomain = "google.com"
+	// queryTimeout bounds one single-query or cache-stream query.
+	queryTimeout = 15 * time.Second
+	// loadTimeout bounds one page load.
+	loadTimeout = 60 * time.Second
+)
 
 func (c *SingleQueryConfig) defaults() {
 	if len(c.Protocols) == 0 {
@@ -141,26 +143,17 @@ func (c *SingleQueryConfig) defaults() {
 	if c.RoundInterval == 0 {
 		c.RoundInterval = 2 * time.Hour
 	}
-	if c.Domain == "" {
-		c.Domain = "google.com"
-	}
-	if c.QueryTimeout == 0 {
-		c.QueryTimeout = 15 * time.Second
-	}
 	if c.ResolverBlock == 0 {
 		c.ResolverBlock = 32
-	}
-	if c.Seed == 0 && c.Blueprint != nil {
-		c.Seed = c.Blueprint.Seed
 	}
 }
 
 // runSharded scatters a campaign over (vantage x resolver block) shards
 // and gathers the per-shard samples in shard order. Each shard
 // instantiates its blueprint partition in a private World seeded from
-// (seed, shard index) and runs body as that World's initial task. The
-// first shard instantiation error aborts the campaign.
-func runSharded[T any](bp *resolver.Blueprint, seed int64, parallelism, resolverBlock int, body func(u *resolver.Universe, vp *resolver.Vantage) []T) ([]T, error) {
+// (blueprint seed, shard index) and runs body as that World's initial
+// task. The first shard instantiation error aborts the campaign.
+func runSharded[T any](bp *resolver.Blueprint, parallelism, resolverBlock int, body func(u *resolver.Universe, vp *resolver.Vantage) []T) ([]T, error) {
 	blocks := campaign.Blocks(len(bp.Profiles), resolverBlock)
 	type shardPlan struct {
 		vantage int
@@ -172,7 +165,7 @@ func runSharded[T any](bp *resolver.Blueprint, seed int64, parallelism, resolver
 			plan = append(plan, shardPlan{vantage: v, span: blk})
 		}
 	}
-	parts, err := campaign.RunErr(seed, len(plan), parallelism, func(s campaign.Shard) ([]T, error) {
+	parts, err := campaign.RunErr(bp.Seed, len(plan), parallelism, func(s campaign.Shard) ([]T, error) {
 		p := plan[s.Index]
 		u, err := bp.Instantiate(s.Seed, resolver.Scope{
 			Vantages:   []int{p.vantage},
@@ -203,7 +196,7 @@ func runSharded[T any](bp *resolver.Blueprint, seed int64, parallelism, resolver
 func RunSingleQuery(cfg SingleQueryConfig) ([]SingleQuerySample, error) {
 	cfg.defaults()
 	if cfg.Blueprint != nil {
-		return runSharded(cfg.Blueprint, cfg.Seed, cfg.Parallelism, cfg.ResolverBlock,
+		return runSharded(cfg.Blueprint, cfg.Parallelism, cfg.ResolverBlock,
 			func(u *resolver.Universe, vp *resolver.Vantage) []SingleQuerySample {
 				return singleQueryShardBody(u, vp, cfg)
 			})
@@ -345,7 +338,7 @@ func (r *vantageRunner) exchange(res *resolver.Resolver, proto dox.Protocol, war
 		}
 		defer c.Close()
 		r.qid++
-		q := dnsmsg.NewQuery(r.qid, r.cfg.Domain, dnsmsg.TypeA)
+		q := dnsmsg.NewQuery(r.qid, queryDomain, dnsmsg.TypeA)
 		start := w.Now()
 		_, err = c.Query(&q)
 		if err != nil {
@@ -361,7 +354,7 @@ func (r *vantageRunner) exchange(res *resolver.Resolver, proto dox.Protocol, war
 		}
 		done.Resolve(true)
 	})
-	ok, alive := done.WaitTimeout(r.cfg.QueryTimeout)
+	ok, alive := done.WaitTimeout(queryTimeout)
 	return alive && ok
 }
 
@@ -390,9 +383,6 @@ type WebConfig struct {
 	Universe *resolver.Universe
 	// Blueprint selects the sharded path (see SingleQueryConfig).
 	Blueprint *resolver.Blueprint
-	// Seed is the campaign seed for the sharded path (default: the
-	// blueprint's seed).
-	Seed int64
 	// Parallelism caps the worker pool (0 = GOMAXPROCS); results do not
 	// depend on it.
 	Parallelism int
@@ -408,17 +398,11 @@ type WebConfig struct {
 	// FixDoTReuse applies the DoT connection-reuse fix (E12); default
 	// false reproduces the paper.
 	FixDoTReuse bool
-	// Use0RTT offers 0-RTT on resumed upstream sessions (E11).
-	Use0RTT bool
 	// StubCache gives each combination's DNS proxy a client-side
 	// answer cache that survives session resets: the warming navigation
 	// fills it, so the measured loads resolve repeated names locally
-	// (experiment E18's warm shared cache).
+	// (experiment E18's warm shared cache). The cache is unbounded.
 	StubCache bool
-	// StubCacheCapacity bounds the stub cache (LRU); 0 = unbounded.
-	StubCacheCapacity int
-	// LoadTimeout bounds one page load (default 60s).
-	LoadTimeout time.Duration
 }
 
 func (c *WebConfig) defaults() {
@@ -431,14 +415,8 @@ func (c *WebConfig) defaults() {
 	if c.Loads == 0 {
 		c.Loads = 4
 	}
-	if c.LoadTimeout == 0 {
-		c.LoadTimeout = 60 * time.Second
-	}
 	if c.ResolverBlock == 0 {
 		c.ResolverBlock = 4
-	}
-	if c.Seed == 0 && c.Blueprint != nil {
-		c.Seed = c.Blueprint.Seed
 	}
 }
 
@@ -447,7 +425,7 @@ func (c *WebConfig) defaults() {
 func RunWeb(cfg WebConfig) ([]WebSample, error) {
 	cfg.defaults()
 	if cfg.Blueprint != nil {
-		return runSharded(cfg.Blueprint, cfg.Seed, cfg.Parallelism, cfg.ResolverBlock,
+		return runSharded(cfg.Blueprint, cfg.Parallelism, cfg.ResolverBlock,
 			func(u *resolver.Universe, vp *resolver.Vantage) []WebSample {
 				return webShardBody(u, vp, cfg)
 			})
@@ -487,11 +465,9 @@ func runWebCombo(u *resolver.Universe, vp *resolver.Vantage, globalIdx int, res 
 			ServerName: res.Name,
 			DoQPort:    res.DoQPort,
 		},
-		ListenPort:        listenPort,
-		FixDoTReuse:       cfg.FixDoTReuse,
-		Use0RTT:           cfg.Use0RTT,
-		StubCache:         cfg.StubCache,
-		StubCacheCapacity: cfg.StubCacheCapacity,
+		ListenPort:  listenPort,
+		FixDoTReuse: cfg.FixDoTReuse,
+		StubCache:   cfg.StubCache,
 	})
 	if err != nil {
 		return nil
@@ -502,10 +478,10 @@ func runWebCombo(u *resolver.Universe, vp *resolver.Vantage, globalIdx int, res 
 	var out []WebSample
 	for _, page := range cfg.Pages {
 		// Cache-warming navigation.
-		loadWithTimeout(u, eng, page, cfg.LoadTimeout)
+		loadWithTimeout(u, eng, page)
 		for load := 0; load < cfg.Loads; load++ {
 			proxy.ResetSessions()
-			r, ok := loadWithTimeout(u, eng, page, cfg.LoadTimeout)
+			r, ok := loadWithTimeout(u, eng, page)
 			s := WebSample{
 				Vantage:          vp.Name,
 				VantageContinent: vp.Continent,
@@ -524,8 +500,8 @@ func runWebCombo(u *resolver.Universe, vp *resolver.Vantage, globalIdx int, res 
 	return out
 }
 
-func loadWithTimeout(u *resolver.Universe, eng *browser.Engine, page *pages.Page, timeout time.Duration) (browser.Result, bool) {
+func loadWithTimeout(u *resolver.Universe, eng *browser.Engine, page *pages.Page) (browser.Result, bool) {
 	done := sim.NewFuture[browser.Result](u.W, fmt.Sprintf("webload-%s", page.Name))
 	u.W.Go(func() { done.Resolve(eng.Load(page)) })
-	return done.WaitTimeout(timeout)
+	return done.WaitTimeout(loadTimeout)
 }

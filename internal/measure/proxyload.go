@@ -24,8 +24,6 @@ type ProxyServeConfig struct {
 	// Blueprint is the resolver population; the campaign is partitioned
 	// by vantage and resolver block like the other sharded campaigns.
 	Blueprint *resolver.Blueprint
-	// Seed is the campaign seed (default: the blueprint's seed).
-	Seed int64
 	// Parallelism caps the worker pool (0 = GOMAXPROCS); wall time
 	// only, never results.
 	Parallelism int
@@ -46,25 +44,17 @@ type ProxyServeConfig struct {
 	// QueryInterval spaces each client's queries in virtual time
 	// (default 1s).
 	QueryInterval time.Duration
-	// QueryTimeout bounds one client query (default 3s). It must exceed
-	// the proxy's worst-case upstream exchange — (UDPRetries+1) x
-	// UDPTimeout for DoUDP — or stale answers arrive after the client
-	// gave up.
-	QueryTimeout time.Duration
 
 	// Proxy serving semantics under test (threaded into
-	// dnsproxy.Config; the stub cache is always on — it is the layer
-	// serve-stale and prefetch live on).
-	Coalesce           bool
-	ServeStale         bool
-	StaleTTL           time.Duration
-	RevalidateInterval time.Duration
-	Prefetch           bool
-	PrefetchMinHits    int
-	PrefetchLead       time.Duration
-	RateLimitQPS       float64
-	RateLimitBurst     int
-	StubCacheCapacity  int
+	// dnsproxy.Config, whose defaults apply to the stale, revalidation
+	// and prefetch timings; the stub cache is always on — it is the
+	// layer serve-stale and prefetch live on).
+	Coalesce          bool
+	ServeStale        bool
+	Prefetch          bool
+	RateLimitQPS      float64
+	RateLimitBurst    int
+	StubCacheCapacity int
 	// UDPTimeout shortens the proxy's upstream retransmission timeout
 	// (default: the resolv.conf 5s; E23 uses 500ms so stale fallbacks
 	// beat the client timeout).
@@ -78,6 +68,11 @@ type ProxyServeConfig struct {
 	// disables classification.
 	ClassifyStart, ClassifyEnd time.Duration
 }
+
+// proxyQueryTimeout bounds one client query. It must exceed the proxy's
+// worst-case upstream exchange — (UDPRetries+1) x UDPTimeout for DoUDP —
+// or stale answers arrive after the client gave up.
+const proxyQueryTimeout = 3 * time.Second
 
 func (c *ProxyServeConfig) defaults() {
 	// Protocol's zero value is DoUDP, the intended default.
@@ -96,14 +91,8 @@ func (c *ProxyServeConfig) defaults() {
 	if c.QueryInterval == 0 {
 		c.QueryInterval = time.Second
 	}
-	if c.QueryTimeout == 0 {
-		c.QueryTimeout = 3 * time.Second
-	}
 	if c.ResolverBlock == 0 {
 		c.ResolverBlock = 8
-	}
-	if c.Seed == 0 && c.Blueprint != nil {
-		c.Seed = c.Blueprint.Seed
 	}
 }
 
@@ -184,7 +173,7 @@ func MergeProxyServeSummaries(parts []ProxyServeSummary) ProxyServeSummary {
 // parallelism.
 func RunProxyServe(cfg ProxyServeConfig) ([]ProxyServeSummary, error) {
 	cfg.defaults()
-	return runSharded(cfg.Blueprint, cfg.Seed, cfg.Parallelism, cfg.ResolverBlock,
+	return runSharded(cfg.Blueprint, cfg.Parallelism, cfg.ResolverBlock,
 		func(u *resolver.Universe, vp *resolver.Vantage) []ProxyServeSummary {
 			var out []ProxyServeSummary
 			for idx, res := range u.Resolvers {
@@ -210,18 +199,14 @@ func runProxyStream(u *resolver.Universe, vp *resolver.Vantage, globalIdx int, r
 			DoQPort:    res.DoQPort,
 			UDPTimeout: cfg.UDPTimeout,
 		},
-		ListenPort:         uint16(10000 + vp.Index),
-		StubCache:          true,
-		StubCacheCapacity:  cfg.StubCacheCapacity,
-		Coalesce:           cfg.Coalesce,
-		ServeStale:         cfg.ServeStale,
-		StaleTTL:           cfg.StaleTTL,
-		RevalidateInterval: cfg.RevalidateInterval,
-		Prefetch:           cfg.Prefetch,
-		PrefetchMinHits:    cfg.PrefetchMinHits,
-		PrefetchLead:       cfg.PrefetchLead,
-		RateLimitQPS:       cfg.RateLimitQPS,
-		RateLimitBurst:     cfg.RateLimitBurst,
+		ListenPort:        uint16(10000 + vp.Index),
+		StubCache:         true,
+		StubCacheCapacity: cfg.StubCacheCapacity,
+		Coalesce:          cfg.Coalesce,
+		ServeStale:        cfg.ServeStale,
+		Prefetch:          cfg.Prefetch,
+		RateLimitQPS:      cfg.RateLimitQPS,
+		RateLimitBurst:    cfg.RateLimitBurst,
 	})
 	if err != nil {
 		return s
@@ -230,7 +215,7 @@ func runProxyStream(u *resolver.Universe, vp *resolver.Vantage, globalIdx int, r
 
 	names := make([]string, cfg.Queries)
 	wl := NewZipfWorkload(
-		rand.New(rand.NewSource(sim.DeriveSeed(cfg.Seed, 0x9E22, uint64(vp.Index), uint64(globalIdx)))),
+		rand.New(rand.NewSource(sim.DeriveSeed(cfg.Blueprint.Seed, 0x9E22, uint64(vp.Index), uint64(globalIdx)))),
 		cfg.Skew, cfg.Names)
 	for i := range names {
 		names[i], _ = wl.Next()
@@ -298,7 +283,7 @@ func runProxyClient(w *sim.World, host *netem.Host, proxyAddr netip.AddrPort, na
 			*windowQ++
 		}
 		sock.Send(proxyAddr, q.AppendEncode(sock.Pool().Get(512)))
-		deadline := sent + cfg.QueryTimeout
+		deadline := sent + proxyQueryTimeout
 		for {
 			remaining := deadline - w.Now()
 			if remaining <= 0 {
@@ -328,14 +313,6 @@ func runProxyClient(w *sim.World, host *netem.Host, proxyAddr netip.AddrPort, na
 	}
 }
 
-// StaleRatio returns StaleServed as a share of answered queries.
-func (s ProxyServeSummary) StaleRatio() float64 {
-	if s.OK == 0 {
-		return 0
-	}
-	return float64(s.StaleServed) / float64(s.OK)
-}
-
 // Availability returns WindowOK/WindowQueries (1 when no window was
 // classified — nothing was unavailable).
 func (s ProxyServeSummary) Availability() float64 {
@@ -343,15 +320,4 @@ func (s ProxyServeSummary) Availability() float64 {
 		return 1
 	}
 	return float64(s.WindowOK) / float64(s.WindowQueries)
-}
-
-// UpstreamReduction returns 1 - UpstreamQueries/ProxyMisses… the share
-// of upstream exchanges saved relative to queries that reached the
-// proxy and missed the stub cache. Guarded against empty streams.
-func (s ProxyServeSummary) UpstreamReduction() float64 {
-	misses := s.ProxyQueries - s.StubHits - s.Refused
-	if misses <= 0 {
-		return 0
-	}
-	return 1 - float64(s.UpstreamQueries)/float64(misses)
 }

@@ -65,34 +65,24 @@ type RacingSample struct {
 // RacingConfig parameterizes the E25 campaign.
 type RacingConfig struct {
 	Blueprint   *resolver.Blueprint
-	Seed        int64
 	Parallelism int
-	// ResolverBlock is the shard granularity (default 4).
-	ResolverBlock int
 
 	// Policies is the middlebox grid (default MiddleboxPolicies).
 	Policies []MiddleboxPolicy
 	// Queries per [vantage:resolver:policy] cell (default 4): the first
 	// runs the race, the rest measure the sticky steady state.
 	Queries int
-	Domain  string
 }
 
+// racingResolverBlock is the E25 shard granularity in resolvers.
+const racingResolverBlock = 4
+
 func (c *RacingConfig) defaults() {
-	if c.ResolverBlock == 0 {
-		c.ResolverBlock = 4
-	}
 	if len(c.Policies) == 0 {
 		c.Policies = MiddleboxPolicies()
 	}
 	if c.Queries == 0 {
 		c.Queries = 4
-	}
-	if c.Domain == "" {
-		c.Domain = "google.com"
-	}
-	if c.Seed == 0 && c.Blueprint != nil {
-		c.Seed = c.Blueprint.Seed
 	}
 }
 
@@ -100,7 +90,7 @@ func (c *RacingConfig) defaults() {
 // ordered by (vantage, resolver block, resolver, policy, round).
 func RunRacing(cfg RacingConfig) ([]RacingSample, error) {
 	cfg.defaults()
-	return runSharded(cfg.Blueprint, cfg.Seed, cfg.Parallelism, cfg.ResolverBlock,
+	return runSharded(cfg.Blueprint, cfg.Parallelism, racingResolverBlock,
 		func(u *resolver.Universe, vp *resolver.Vantage) []RacingSample {
 			return racingShardBody(u, vp, cfg)
 		})
@@ -133,7 +123,7 @@ func racingShardBody(u *resolver.Universe, vp *resolver.Vantage, cfg RacingConfi
 			})
 			for round := 0; round < cfg.Queries; round++ {
 				qid++
-				q := dnsmsg.NewQuery(qid, cfg.Domain, dnsmsg.TypeA)
+				q := dnsmsg.NewQuery(qid, queryDomain, dnsmsg.TypeA)
 				before := stub.Metrics().Races
 				start := u.W.Now()
 				_, winner, err := stub.Resolve(&q)
@@ -177,66 +167,42 @@ type MigrationWebSample struct {
 }
 
 // MigrationWebConfig parameterizes the E26 campaign. The blueprint
-// should place vantages behind the wifi access profile; FlipTo names
-// the profile the link flips to mid-load.
+// should place vantages behind the wifi access profile; the link flips
+// to migrationFlipTo mid-load.
 type MigrationWebConfig struct {
 	Blueprint   *resolver.Blueprint
-	Seed        int64
 	Parallelism int
-	// ResolverBlock is the shard granularity (default 2).
-	ResolverBlock int
-
-	// Protocols under comparison (default DoQ, DoH3, DoT, DoH: the two
-	// migrating QUIC transports vs the two reconnecting TCP ones).
-	Protocols []dox.Protocol
-	Pages     []*pages.Page
-	// LoadTimeout bounds one page load (default 60s).
-	LoadTimeout time.Duration
-	// FlipTo is the access profile after the flip (default "4g").
-	FlipTo string
 }
 
-func (c *MigrationWebConfig) defaults() {
-	if c.ResolverBlock == 0 {
-		c.ResolverBlock = 2
-	}
-	if len(c.Protocols) == 0 {
-		c.Protocols = []dox.Protocol{dox.DoQ, dox.DoH3, dox.DoT, dox.DoH}
-	}
-	if len(c.Pages) == 0 {
-		c.Pages = pages.Top10()[:3]
-	}
-	if c.LoadTimeout == 0 {
-		c.LoadTimeout = 60 * time.Second
-	}
-	if c.FlipTo == "" {
-		c.FlipTo = "4g"
-	}
-	if c.Seed == 0 && c.Blueprint != nil {
-		c.Seed = c.Blueprint.Seed
-	}
-}
+const (
+	// migrationResolverBlock is the E26 shard granularity in resolvers.
+	migrationResolverBlock = 2
+	// migrationFlipTo is the access profile after the flip.
+	migrationFlipTo = "4g"
+	// migrationPages is how many of the Top10 pages each cell loads.
+	migrationPages = 3
+)
+
+// migrationProtocols are the transports under comparison: the two
+// migrating QUIC transports vs the two reconnecting TCP ones.
+var migrationProtocols = []dox.Protocol{dox.DoQ, dox.DoH3, dox.DoT, dox.DoH}
 
 // RunMigrationWeb executes the mid-load migration campaign, ordered by
 // (vantage, resolver block, resolver, protocol, page).
 func RunMigrationWeb(cfg MigrationWebConfig) ([]MigrationWebSample, error) {
-	cfg.defaults()
-	flip, err := netem.ProfileByName(cfg.FlipTo)
+	flip, err := netem.ProfileByName(migrationFlipTo)
 	if err != nil {
 		return nil, err
 	}
-	return runSharded(cfg.Blueprint, cfg.Seed, cfg.Parallelism, cfg.ResolverBlock,
+	pgs := pages.Top10()[:migrationPages]
+	return runSharded(cfg.Blueprint, cfg.Parallelism, migrationResolverBlock,
 		func(u *resolver.Universe, vp *resolver.Vantage) []MigrationWebSample {
-			return migrationShardBody(u, vp, flip, cfg)
+			var out []MigrationWebSample
+			for idx, res := range u.Resolvers {
+				out = append(out, runMigrationCell(u, vp, u.GlobalResolverIdx(idx), res, flip, pgs)...)
+			}
+			return out
 		})
-}
-
-func migrationShardBody(u *resolver.Universe, vp *resolver.Vantage, flip netem.AccessProfile, cfg MigrationWebConfig) []MigrationWebSample {
-	var out []MigrationWebSample
-	for idx, res := range u.Resolvers {
-		out = append(out, runMigrationCell(u, vp, u.GlobalResolverIdx(idx), res, flip, cfg)...)
-	}
-	return out
 }
 
 // migrationArm is one protocol's proxy+engine pair within a cell. All
@@ -248,9 +214,9 @@ type migrationArm struct {
 	eng   *browser.Engine
 }
 
-func runMigrationCell(u *resolver.Universe, vp *resolver.Vantage, globalIdx int, res *resolver.Resolver, flip netem.AccessProfile, cfg MigrationWebConfig) []MigrationWebSample {
+func runMigrationCell(u *resolver.Universe, vp *resolver.Vantage, globalIdx int, res *resolver.Resolver, flip netem.AccessProfile, pgs []*pages.Page) []MigrationWebSample {
 	var arms []migrationArm
-	for i, proto := range cfg.Protocols {
+	for i, proto := range migrationProtocols {
 		proxy, err := dnsproxy.New(vp.Backend, dnsproxy.Config{
 			Upstream: proto,
 			Options: dox.Options{
@@ -278,7 +244,7 @@ func runMigrationCell(u *resolver.Universe, vp *resolver.Vantage, globalIdx int,
 	base, _ := u.Net.AccessLink(vp.Host.Addr())
 
 	var out []MigrationWebSample
-	for _, page := range cfg.Pages {
+	for _, page := range pgs {
 		// Warming navigation on the base link per arm (fills each
 		// proxy's cache, provisions tickets/tokens), then a second
 		// warm-cache navigation that calibrates where "mid load" falls.
@@ -292,16 +258,16 @@ func runMigrationCell(u *resolver.Universe, vp *resolver.Vantage, globalIdx int,
 		// milder flip.
 		flipAt := time.Duration(-1)
 		for _, a := range arms {
-			loadWithTimeout(u, a.eng, page, cfg.LoadTimeout)
+			loadWithTimeout(u, a.eng, page)
 			calStart := u.W.Now()
-			_, ok := loadWithTimeout(u, a.eng, page, cfg.LoadTimeout)
+			_, ok := loadWithTimeout(u, a.eng, page)
 			el := u.W.Now() - calStart
 			if ok && el > 0 && (flipAt < 0 || el/2 < flipAt) {
 				flipAt = el / 2
 			}
 		}
 		if flipAt <= 0 {
-			flipAt = cfg.LoadTimeout / 4
+			flipAt = loadTimeout / 4
 		}
 
 		for _, a := range arms {
@@ -321,7 +287,7 @@ func runMigrationCell(u *resolver.Universe, vp *resolver.Vantage, globalIdx int,
 				u.Net.SetAccessLink(vp.Host.Addr(), flip)
 				migrated, _ = a.proxy.MigrateUpstream()
 			})
-			r, ok := loadWithTimeout(u, a.eng, page, cfg.LoadTimeout)
+			r, ok := loadWithTimeout(u, a.eng, page)
 			// A load that ended before the flip keeps its timer from
 			// firing into the next measurement.
 			timer.Stop()
@@ -369,52 +335,35 @@ type FailoverSample struct {
 // on the arm-relative clock.
 type FailoverCampaignConfig struct {
 	Blueprint   *resolver.Blueprint
-	Seed        int64
 	Parallelism int
 
-	// Upstreams is the resolvers per set — and the shard granularity
-	// (default 3).
-	Upstreams int
 	// Queries is the stream length per arm (default 40).
 	Queries int
-	// Interval spaces queries apart (default 1s).
-	Interval time.Duration
-	// QueryTimeout bounds one query; a timeout is the failure the
-	// health tracker counts (default 1s).
-	QueryTimeout time.Duration
 	// OutageStart and OutageEnd bound the primary's outage on the
 	// arm-relative clock (defaults: 10s and 25s).
 	OutageStart, OutageEnd time.Duration
-	// Failover is the health-tracker configuration (defaults applied by
-	// racing.NewFailover).
-	Failover racing.FailoverConfig
-	Domain   string
 }
 
+const (
+	// failoverUpstreams is the resolvers per set — and the shard
+	// granularity.
+	failoverUpstreams = 3
+	// failoverInterval spaces an arm's queries apart.
+	failoverInterval = time.Second
+	// failoverQueryTimeout bounds one query; a timeout is the failure
+	// the health tracker counts.
+	failoverQueryTimeout = time.Second
+)
+
 func (c *FailoverCampaignConfig) defaults() {
-	if c.Upstreams == 0 {
-		c.Upstreams = 3
-	}
 	if c.Queries == 0 {
 		c.Queries = 40
-	}
-	if c.Interval == 0 {
-		c.Interval = time.Second
-	}
-	if c.QueryTimeout == 0 {
-		c.QueryTimeout = time.Second
 	}
 	if c.OutageStart == 0 {
 		c.OutageStart = 10 * time.Second
 	}
 	if c.OutageEnd == 0 {
 		c.OutageEnd = 25 * time.Second
-	}
-	if c.Domain == "" {
-		c.Domain = "google.com"
-	}
-	if c.Seed == 0 && c.Blueprint != nil {
-		c.Seed = c.Blueprint.Seed
 	}
 }
 
@@ -425,7 +374,7 @@ func (c *FailoverCampaignConfig) defaults() {
 // set, arm, round).
 func RunFailoverCampaign(cfg FailoverCampaignConfig) ([]FailoverSample, error) {
 	cfg.defaults()
-	return runSharded(cfg.Blueprint, cfg.Seed, cfg.Parallelism, cfg.Upstreams,
+	return runSharded(cfg.Blueprint, cfg.Parallelism, failoverUpstreams,
 		func(u *resolver.Universe, vp *resolver.Vantage) []FailoverSample {
 			return failoverShardBody(u, vp, cfg)
 		})
@@ -463,7 +412,7 @@ func runFailoverArm(u *resolver.Universe, vp *resolver.Vantage, cfg FailoverCamp
 	if failover {
 		arm = "failover"
 	}
-	tracker := racing.NewFailover(vp.Backend, len(u.Resolvers), cfg.Failover)
+	tracker := racing.NewFailover(vp.Backend, len(u.Resolvers), racing.FailoverConfig{})
 	var qid uint16
 	var out []FailoverSample
 	for round := 0; round < cfg.Queries; round++ {
@@ -474,7 +423,7 @@ func runFailoverArm(u *resolver.Universe, vp *resolver.Vantage, cfg FailoverCamp
 		res := u.Resolvers[pick]
 		qid++
 		start := u.W.Now()
-		ok := failoverQuery(u, vp, res, cfg, qid)
+		ok := failoverQuery(u, vp, res, qid)
 		tracker.Report(pick, ok)
 		out = append(out, FailoverSample{
 			Vantage:  vp.Name,
@@ -486,7 +435,7 @@ func runFailoverArm(u *resolver.Universe, vp *resolver.Vantage, cfg FailoverCamp
 			Resolve:  u.W.Now() - start,
 			OK:       ok,
 		})
-		u.W.Sleep(cfg.Interval)
+		u.W.Sleep(failoverInterval)
 	}
 	return out
 }
@@ -494,14 +443,14 @@ func runFailoverArm(u *resolver.Universe, vp *resolver.Vantage, cfg FailoverCamp
 // failoverQuery runs one bounded Do53 exchange — the transport a
 // forwarder's health checks ride on. The bounded-retransmit knobs keep
 // a dead upstream's cost inside the query timeout.
-func failoverQuery(u *resolver.Universe, vp *resolver.Vantage, res *resolver.Resolver, cfg FailoverCampaignConfig, qid uint16) bool {
+func failoverQuery(u *resolver.Universe, vp *resolver.Vantage, res *resolver.Resolver, qid uint16) bool {
 	done := sim.NewFuture[bool](u.W, "failover-query")
 	u.W.Go(func() {
 		c, err := dox.Connect(dox.DoUDP, dox.Options{
 			Backend:    vp.Backend,
 			Resolver:   res.Addr,
 			ServerName: res.Name,
-			UDPTimeout: cfg.QueryTimeout / 3,
+			UDPTimeout: failoverQueryTimeout / 3,
 			UDPRetries: 1,
 		})
 		if err != nil {
@@ -509,10 +458,10 @@ func failoverQuery(u *resolver.Universe, vp *resolver.Vantage, res *resolver.Res
 			return
 		}
 		defer c.Close()
-		q := dnsmsg.NewQuery(qid, cfg.Domain, dnsmsg.TypeA)
+		q := dnsmsg.NewQuery(qid, queryDomain, dnsmsg.TypeA)
 		_, err = c.Query(&q)
 		done.Resolve(err == nil)
 	})
-	ok, alive := done.WaitTimeout(cfg.QueryTimeout)
+	ok, alive := done.WaitTimeout(failoverQueryTimeout)
 	return alive && ok
 }
