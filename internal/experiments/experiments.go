@@ -128,10 +128,10 @@ type Runner struct {
 	webH3Done bool
 
 	accessMu      sync.Mutex
-	access        []measure.AccessGridCell
+	access        []accessCell[measure.SingleQuerySample]
 	accessDone    bool
 	accessWebMu   sync.Mutex
-	accessWeb     []measure.AccessWebGridCell
+	accessWeb     []accessCell[measure.WebSample]
 	accessWebDone bool
 	burstMu       sync.Mutex
 	burst         []measure.SingleQuerySample
@@ -1290,20 +1290,54 @@ func runE18(r *Runner) (string, error) {
 
 // --- E19 / E20 / E21: the dynamic link model ---
 
+// accessCell is one access profile's sample stream in the E19/E21
+// grids.
+type accessCell[S any] struct {
+	profile string
+	samples []S
+}
+
+// accessGrid runs one campaign per named netem access profile, best to
+// worst. Every cell rebuilds the same blueprint (same seed) behind its
+// profile, so the resolver population, the vantage placement and all
+// per-resolver randomness match across cells: the only difference is
+// the access link every vantage sits behind, and any shift in the
+// medians is attributable to the link model alone.
+func accessGrid[S any](r *Runner, seedOffset int64, resolvers int, run func(*resolver.Blueprint) ([]S, error)) ([]accessCell[S], error) {
+	var out []accessCell[S]
+	for _, profile := range netem.ProfileNames() {
+		bp, err := resolver.NewBlueprint(resolver.UniverseConfig{
+			Seed:           r.Cfg.Seed + seedOffset,
+			ResolverCounts: resolver.ScaledCounts(resolvers),
+			Loss:           r.Cfg.Loss,
+			Access:         profile,
+		})
+		if err != nil {
+			return nil, err
+		}
+		samples, err := run(bp)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, accessCell[S]{profile: profile, samples: samples})
+	}
+	return out, nil
+}
+
 // AccessGrid runs (once) the per-profile single-query grid consumed by
 // E19: the same population behind each named access link.
-func (r *Runner) AccessGrid() ([]measure.AccessGridCell, error) {
+func (r *Runner) AccessGrid() ([]accessCell[measure.SingleQuerySample], error) {
 	r.accessMu.Lock()
 	defer r.accessMu.Unlock()
 	if r.accessDone {
 		return r.access, nil
 	}
-	cells, err := measure.RunAccessGrid(measure.AccessGridConfig{
-		Seed:           r.Cfg.Seed + 100,
-		ResolverCounts: resolver.ScaledCounts(r.Cfg.Resolvers),
-		Loss:           r.Cfg.Loss,
-		Parallelism:    r.Cfg.Parallelism,
-		Rounds:         r.Cfg.Rounds,
+	cells, err := accessGrid(r, 100, r.Cfg.Resolvers, func(bp *resolver.Blueprint) ([]measure.SingleQuerySample, error) {
+		return measure.RunSingleQuery(measure.SingleQueryConfig{
+			Blueprint:   bp,
+			Parallelism: r.Cfg.Parallelism,
+			Rounds:      r.Cfg.Rounds,
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -1403,20 +1437,20 @@ func (r *Runner) BurstLossCampaign() ([]measure.SingleQuerySample, error) {
 }
 
 // AccessWebGrid runs (once) the per-profile web grid consumed by E21.
-func (r *Runner) AccessWebGrid() ([]measure.AccessWebGridCell, error) {
+func (r *Runner) AccessWebGrid() ([]accessCell[measure.WebSample], error) {
 	r.accessWebMu.Lock()
 	defer r.accessWebMu.Unlock()
 	if r.accessWebDone {
 		return r.accessWeb, nil
 	}
-	cells, err := measure.RunAccessWebGrid(measure.AccessGridConfig{
-		Seed:           r.Cfg.Seed + 110,
-		ResolverCounts: resolver.ScaledCounts(r.Cfg.WebResolvers),
-		Loss:           r.Cfg.Loss,
-		Parallelism:    r.Cfg.Parallelism,
-		Protocols:      []dox.Protocol{dox.DoUDP, dox.DoQ, dox.DoH},
-		Pages:          pages.Top10()[:r.Cfg.WebPages],
-		Loads:          r.Cfg.WebLoads,
+	cells, err := accessGrid(r, 110, r.Cfg.WebResolvers, func(bp *resolver.Blueprint) ([]measure.WebSample, error) {
+		return measure.RunWeb(measure.WebConfig{
+			Blueprint:   bp,
+			Parallelism: r.Cfg.Parallelism,
+			Protocols:   []dox.Protocol{dox.DoUDP, dox.DoQ, dox.DoH},
+			Pages:       pages.Top10()[:r.Cfg.WebPages],
+			Loads:       r.Cfg.WebLoads,
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -1446,10 +1480,10 @@ func runE19(r *Runner) (string, error) {
 		Header: header,
 	}
 	for _, cell := range cells {
-		row := []string{cell.Profile}
+		row := []string{cell.profile}
 		for _, p := range dox.Protocols {
 			var hs, res []float64
-			for _, s := range cell.Samples {
+			for _, s := range cell.samples {
 				if !s.OK || s.Protocol != p {
 					continue
 				}
@@ -1537,7 +1571,7 @@ func runE21(r *Runner) (string, error) {
 	for _, cell := range cells {
 		var udp []float64
 		ok := 0
-		for _, s := range cell.Samples {
+		for _, s := range cell.samples {
 			if !s.OK {
 				continue
 			}
@@ -1546,8 +1580,8 @@ func runE21(r *Runner) (string, error) {
 				udp = append(udp, float64(s.PLT))
 			}
 		}
-		series := relDiffSeries(cell.Samples, func(s measure.WebSample) time.Duration { return s.PLT }, dox.DoUDP)
-		t.Add(cell.Profile,
+		series := relDiffSeries(cell.samples, func(s measure.WebSample) time.Duration { return s.PLT }, dox.DoUDP)
+		t.Add(cell.profile,
 			report.Ms(stats.Median(udp)),
 			stats.FormatPct(stats.Median(series[dox.DoQ])),
 			stats.FormatPct(stats.Median(series[dox.DoH])),

@@ -213,11 +213,11 @@ func TestE19GridCoversAllProfiles(t *testing.T) {
 	}
 	med := func(profile string, p dox.Protocol) float64 {
 		for _, c := range cells {
-			if c.Profile != profile {
+			if c.profile != profile {
 				continue
 			}
 			var xs []float64
-			for _, s := range c.Samples {
+			for _, s := range c.samples {
 				if s.OK && s.Protocol == p {
 					xs = append(xs, float64(s.Handshake))
 				}

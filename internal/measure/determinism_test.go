@@ -114,28 +114,38 @@ func TestSingleQueryRunToRunIdentity(t *testing.T) {
 }
 
 // TestAccessGridDeterministicAcrossParallelism extends the campaign
-// guarantee to the E19/E21 profile grids: every cell's sample stream
-// must be byte-identical at parallelism 1 and N. The grid also exercises
-// the netem link model (bandwidth queues, access links, burst loss on
-// the satellite profile), so a divergence here points at link state
-// leaking across shards.
+// guarantee to the E19/E21 profile grids: the same blueprint rebuilt
+// behind each access profile must yield a byte-identical sample stream
+// at parallelism 1 and N. The grid also exercises the netem link model
+// (bandwidth queues, access links, burst loss on the satellite profile),
+// so a divergence here points at link state leaking across shards.
 func TestAccessGridDeterministicAcrossParallelism(t *testing.T) {
-	run := func(par int) []AccessGridCell {
-		cells, err := RunAccessGrid(AccessGridConfig{
-			Seed:           2022,
-			ResolverCounts: resolver.ScaledCounts(6),
-			Profiles:       []string{"fiber", "3g", "satellite"},
-			Parallelism:    par,
-			Protocols:      []dox.Protocol{dox.DoUDP, dox.DoQ, dox.DoT},
-		})
-		if err != nil {
-			t.Fatal(err)
+	run := func(par int) [][]SingleQuerySample {
+		var cells [][]SingleQuerySample
+		for _, profile := range []string{"fiber", "3g", "satellite"} {
+			bp, err := resolver.NewBlueprint(resolver.UniverseConfig{
+				Seed:           2022,
+				ResolverCounts: resolver.ScaledCounts(6),
+				Access:         profile,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			samples, err := RunSingleQuery(SingleQueryConfig{
+				Blueprint:   bp,
+				Parallelism: par,
+				Protocols:   []dox.Protocol{dox.DoUDP, dox.DoQ, dox.DoT},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells = append(cells, samples)
 		}
 		return cells
 	}
 	base := run(1)
-	if len(base) != 3 || len(base[0].Samples) == 0 {
-		t.Fatalf("unexpected grid shape: %d cells", len(base))
+	if len(base[0]) == 0 {
+		t.Fatal("empty fiber cell")
 	}
 	if got := run(8); !reflect.DeepEqual(base, got) {
 		t.Fatal("access grid differs between parallelism 1 and 8")
