@@ -106,40 +106,32 @@ type Experiment struct {
 // through E6 all consume the single-query campaign, E1 and E2 the scan)
 // run it once. A Runner is safe for concurrent use by RunAll: the first
 // caller of a campaign computes it while later callers wait for the
-// cached result. Each cached campaign has its own lock so the three
-// independent campaigns (scan, single-query, web) can overlap.
+// cached result, and independent campaigns overlap. An error is cached
+// like a result: the only campaign errors come from deterministic
+// blueprint construction, so a retry would fail the same way.
 type Runner struct {
 	Cfg Config
 
-	sqMu      sync.Mutex
-	sq        []measure.SingleQuerySample
-	sqDone    bool
-	webMu     sync.Mutex
-	web       []measure.WebSample
-	webDone   bool
-	scanMu    sync.Mutex
-	scan      scan.FunnelResult
-	scanDone  bool
-	sqH3Mu    sync.Mutex
-	sqH3      []measure.SingleQuerySample
-	sqH3Done  bool
-	webH3Mu   sync.Mutex
-	webH3     []measure.WebSample
-	webH3Done bool
-
-	accessMu      sync.Mutex
-	access        []accessCell[measure.SingleQuerySample]
-	accessDone    bool
-	accessWebMu   sync.Mutex
-	accessWeb     []accessCell[measure.WebSample]
-	accessWebDone bool
-	burstMu       sync.Mutex
-	burst         []measure.SingleQuerySample
-	burstDone     bool
+	singleQuery, singleQueryDoH3, burstLoss func() ([]measure.SingleQuerySample, error)
+	web, webDoH3                            func() ([]measure.WebSample, error)
+	scan                                    func() (scan.FunnelResult, error)
+	access                                  func() ([]accessCell[measure.SingleQuerySample], error)
+	accessWeb                               func() ([]accessCell[measure.WebSample], error)
 }
 
 // NewRunner creates a Runner for cfg.
-func NewRunner(cfg Config) *Runner { return &Runner{Cfg: cfg} }
+func NewRunner(cfg Config) *Runner {
+	r := &Runner{Cfg: cfg}
+	r.singleQuery = sync.OnceValues(r.singleQueryCampaign)
+	r.web = sync.OnceValues(r.webCampaign)
+	r.scan = sync.OnceValues(r.scanCampaign)
+	r.singleQueryDoH3 = sync.OnceValues(r.singleQueryDoH3Campaign)
+	r.webDoH3 = sync.OnceValues(r.webDoH3Campaign)
+	r.access = sync.OnceValues(r.accessCampaign)
+	r.accessWeb = sync.OnceValues(r.accessWebCampaign)
+	r.burstLoss = sync.OnceValues(r.burstLossCampaign)
+	return r
+}
 
 func (r *Runner) blueprint(seedOffset int64, resolvers int, mutate func(*resolver.Profile)) (*resolver.Blueprint, error) {
 	return resolver.NewBlueprint(resolver.UniverseConfig{
@@ -150,107 +142,68 @@ func (r *Runner) blueprint(seedOffset int64, resolvers int, mutate func(*resolve
 	})
 }
 
-// SingleQuery runs (once) the default single-query campaign, sharded
+// singleQueryCampaign runs the default single-query campaign, sharded
 // across the worker pool.
-func (r *Runner) SingleQuery() ([]measure.SingleQuerySample, error) {
-	r.sqMu.Lock()
-	defer r.sqMu.Unlock()
-	if r.sqDone {
-		return r.sq, nil
-	}
+func (r *Runner) singleQueryCampaign() ([]measure.SingleQuerySample, error) {
 	bp, err := r.blueprint(0, r.Cfg.Resolvers, nil)
 	if err != nil {
 		return nil, err
 	}
-	r.sq, err = measure.RunSingleQuery(measure.SingleQueryConfig{
+	return measure.RunSingleQuery(measure.SingleQueryConfig{
 		Blueprint:   bp,
 		Parallelism: r.Cfg.Parallelism,
 		Rounds:      r.Cfg.Rounds,
 	})
-	if err != nil {
-		return nil, err
-	}
-	r.sqDone = true
-	return r.sq, nil
 }
 
-// Web runs (once) the default web campaign, sharded across the worker
+// webCampaign runs the default web campaign, sharded across the worker
 // pool.
-func (r *Runner) Web() ([]measure.WebSample, error) {
-	r.webMu.Lock()
-	defer r.webMu.Unlock()
-	if r.webDone {
-		return r.web, nil
-	}
+func (r *Runner) webCampaign() ([]measure.WebSample, error) {
 	bp, err := r.blueprint(1, r.Cfg.WebResolvers, nil)
 	if err != nil {
 		return nil, err
 	}
-	r.web, err = measure.RunWeb(measure.WebConfig{
+	return measure.RunWeb(measure.WebConfig{
 		Blueprint:   bp,
 		Parallelism: r.Cfg.Parallelism,
 		Pages:       pages.Top10()[:r.Cfg.WebPages],
 		Loads:       r.Cfg.WebLoads,
 	})
-	if err != nil {
-		return nil, err
-	}
-	r.webDone = true
-	return r.web, nil
 }
 
 // doh3Protocols is the sixth-transport comparison set of E13–E15: the
 // two QUIC transports side by side with DoH over HTTP/2.
 var doh3Protocols = []dox.Protocol{dox.DoQ, dox.DoH, dox.DoH3}
 
-// SingleQueryDoH3 runs (once) the sixth-transport single-query campaign
-// consumed by E13 and E14: DoQ, DoH and DoH3 over a fresh blueprint.
-func (r *Runner) SingleQueryDoH3() ([]measure.SingleQuerySample, error) {
-	r.sqH3Mu.Lock()
-	defer r.sqH3Mu.Unlock()
-	if r.sqH3Done {
-		return r.sqH3, nil
-	}
+// singleQueryDoH3Campaign runs the sixth-transport single-query
+// campaign consumed by E13 and E14: DoQ, DoH and DoH3 over a fresh
+// blueprint.
+func (r *Runner) singleQueryDoH3Campaign() ([]measure.SingleQuerySample, error) {
 	bp, err := r.blueprint(50, r.Cfg.Resolvers, nil)
 	if err != nil {
 		return nil, err
 	}
-	r.sqH3, err = measure.RunSingleQuery(measure.SingleQueryConfig{
+	return measure.RunSingleQuery(measure.SingleQueryConfig{
 		Blueprint:   bp,
 		Parallelism: r.Cfg.Parallelism,
 		Rounds:      r.Cfg.Rounds,
 		Protocols:   doh3Protocols,
 	})
-	if err != nil {
-		return nil, err
-	}
-	r.sqH3Done = true
-	return r.sqH3, nil
 }
 
-// WebDoH3 runs (once) the sixth-transport web campaign consumed by E15.
-func (r *Runner) WebDoH3() ([]measure.WebSample, error) {
-	r.webH3Mu.Lock()
-	defer r.webH3Mu.Unlock()
-	if r.webH3Done {
-		return r.webH3, nil
-	}
+// webDoH3Campaign runs the sixth-transport web campaign consumed by E15.
+func (r *Runner) webDoH3Campaign() ([]measure.WebSample, error) {
 	bp, err := r.blueprint(60, r.Cfg.WebResolvers, nil)
 	if err != nil {
 		return nil, err
 	}
-	r.webH3, err = measure.RunWeb(measure.WebConfig{
+	return measure.RunWeb(measure.WebConfig{
 		Blueprint:   bp,
 		Parallelism: r.Cfg.Parallelism,
 		Protocols:   doh3Protocols,
 		Pages:       pages.Top10()[:r.Cfg.WebPages],
 		Loads:       r.Cfg.WebLoads,
 	})
-	if err != nil {
-		return nil, err
-	}
-	r.webH3Done = true
-	return r.webH3, nil
 }
 
 // All returns the registry in paper order.
@@ -351,29 +304,17 @@ func RunAllFunc(r *Runner, exps []Experiment, parallelism int, emit func(Result)
 
 // --- E1 / E2: scan ---
 
-// runScan runs (once) the sharded discovery funnel.
-func (r *Runner) runScan() (scan.FunnelResult, scan.PopulationSpec, error) {
-	spec := scan.PaperSpec().Scaled(r.Cfg.ScanScale)
-	r.scanMu.Lock()
-	defer r.scanMu.Unlock()
-	if r.scanDone {
-		return r.scan, spec, nil
-	}
-	res, err := scan.RunFunnel(scan.FunnelConfig{
+// scanCampaign runs the sharded discovery funnel.
+func (r *Runner) scanCampaign() (scan.FunnelResult, error) {
+	return scan.RunFunnel(scan.FunnelConfig{
 		Seed:        r.Cfg.Seed + 10,
-		Spec:        spec,
+		Spec:        scan.PaperSpec().Scaled(r.Cfg.ScanScale),
 		Parallelism: r.Cfg.Parallelism,
 	})
-	if err != nil {
-		return scan.FunnelResult{}, spec, err
-	}
-	r.scan = res
-	r.scanDone = true
-	return res, spec, nil
 }
 
 func runE1(r *Runner) (string, error) {
-	res, spec, err := r.runScan()
+	res, err := r.scan()
 	if err != nil {
 		return "", err
 	}
@@ -391,12 +332,11 @@ func runE1(r *Runner) (string, error) {
 	t.Add("  + DoH", fmt.Sprint(res.Support[dox.DoH]), scale(732), "732")
 	t.Add("  + DoH3 (beyond paper)", fmt.Sprint(res.Support[dox.DoH3]), "-", "-")
 	t.Add("verified DoX resolvers", fmt.Sprint(res.Verified), scale(313), "313")
-	_ = spec
 	return t.String(), nil
 }
 
 func runE2(r *Runner) (string, error) {
-	res, _, err := r.runScan()
+	res, err := r.scan()
 	if err != nil {
 		return "", err
 	}
@@ -424,7 +364,7 @@ func runE2(r *Runner) (string, error) {
 // --- E3: version and feature shares ---
 
 func runE3(r *Runner) (string, error) {
-	samples, err := r.SingleQuery()
+	samples, err := r.singleQuery()
 	if err != nil {
 		return "", err
 	}
@@ -482,7 +422,7 @@ func runE3(r *Runner) (string, error) {
 // --- E4: Table 1 ---
 
 func runE4(r *Runner) (string, error) {
-	samples, err := r.SingleQuery()
+	samples, err := r.singleQuery()
 	if err != nil {
 		return "", err
 	}
@@ -572,7 +512,7 @@ func vantageNames() []string {
 }
 
 func runE5(r *Runner) (string, error) {
-	samples, err := r.SingleQuery()
+	samples, err := r.singleQuery()
 	if err != nil {
 		return "", err
 	}
@@ -582,7 +522,7 @@ func runE5(r *Runner) (string, error) {
 }
 
 func runE6(r *Runner) (string, error) {
-	samples, err := r.SingleQuery()
+	samples, err := r.singleQuery()
 	if err != nil {
 		return "", err
 	}
@@ -646,7 +586,7 @@ func fig3(samples []measure.WebSample, title string, metric func(measure.WebSamp
 }
 
 func runE7(r *Runner) (string, error) {
-	samples, err := r.Web()
+	samples, err := r.web()
 	if err != nil {
 		return "", err
 	}
@@ -656,7 +596,7 @@ func runE7(r *Runner) (string, error) {
 }
 
 func runE8(r *Runner) (string, error) {
-	samples, err := r.Web()
+	samples, err := r.web()
 	if err != nil {
 		return "", err
 	}
@@ -666,7 +606,7 @@ func runE8(r *Runner) (string, error) {
 }
 
 func runE9(r *Runner) (string, error) {
-	samples, err := r.Web()
+	samples, err := r.web()
 	if err != nil {
 		return "", err
 	}
@@ -904,7 +844,7 @@ func runE12(r *Runner) (string, error) {
 // first-request HPACK literals, the HTTP/2 preface and TCP+TLS framing
 // disappear, and the remaining gap to DoQ is pure HTTP framing.
 func runE13(r *Runner) (string, error) {
-	samples, err := r.SingleQueryDoH3()
+	samples, err := r.singleQueryDoH3()
 	if err != nil {
 		return "", err
 	}
@@ -959,7 +899,7 @@ func runE13(r *Runner) (string, error) {
 }
 
 func runE14(r *Runner) (string, error) {
-	samples, err := r.SingleQueryDoH3()
+	samples, err := r.singleQueryDoH3()
 	if err != nil {
 		return "", err
 	}
@@ -975,7 +915,7 @@ func runE14(r *Runner) (string, error) {
 // runE15 renders the Fig. 4 grid with DoH3 as the baseline: per vantage
 // and page, the median relative PLT of DoQ and DoH against DoH3.
 func runE15(r *Runner) (string, error) {
-	samples, err := r.WebDoH3()
+	samples, err := r.webDoH3()
 	if err != nil {
 		return "", err
 	}
@@ -1324,27 +1264,16 @@ func accessGrid[S any](r *Runner, seedOffset int64, resolvers int, run func(*res
 	return out, nil
 }
 
-// AccessGrid runs (once) the per-profile single-query grid consumed by
+// accessCampaign runs the per-profile single-query grid consumed by
 // E19: the same population behind each named access link.
-func (r *Runner) AccessGrid() ([]accessCell[measure.SingleQuerySample], error) {
-	r.accessMu.Lock()
-	defer r.accessMu.Unlock()
-	if r.accessDone {
-		return r.access, nil
-	}
-	cells, err := accessGrid(r, 100, r.Cfg.Resolvers, func(bp *resolver.Blueprint) ([]measure.SingleQuerySample, error) {
+func (r *Runner) accessCampaign() ([]accessCell[measure.SingleQuerySample], error) {
+	return accessGrid(r, 100, r.Cfg.Resolvers, func(bp *resolver.Blueprint) ([]measure.SingleQuerySample, error) {
 		return measure.RunSingleQuery(measure.SingleQueryConfig{
 			Blueprint:   bp,
 			Parallelism: r.Cfg.Parallelism,
 			Rounds:      r.Cfg.Rounds,
 		})
 	})
-	if err != nil {
-		return nil, err
-	}
-	r.access = cells
-	r.accessDone = true
-	return cells, nil
 }
 
 // The E20 burst-loss schedule: the campaign alternates 60-second clean
@@ -1394,14 +1323,8 @@ func e20InBurst(at time.Duration) bool {
 	return step%2 == 1
 }
 
-// BurstLossCampaign runs (once) the scheduled burst-loss campaign of
-// E20.
-func (r *Runner) BurstLossCampaign() ([]measure.SingleQuerySample, error) {
-	r.burstMu.Lock()
-	defer r.burstMu.Unlock()
-	if r.burstDone {
-		return r.burst, nil
-	}
+// burstLossCampaign runs the scheduled burst-loss campaign of E20.
+func (r *Runner) burstLossCampaign() ([]measure.SingleQuerySample, error) {
 	loss := r.Cfg.Loss
 	if loss == 0 {
 		loss = 0.003
@@ -1422,28 +1345,18 @@ func (r *Runner) BurstLossCampaign() ([]measure.SingleQuerySample, error) {
 	if rounds < 2 {
 		rounds = 2
 	}
-	r.burst, err = measure.RunSingleQuery(measure.SingleQueryConfig{
+	return measure.RunSingleQuery(measure.SingleQueryConfig{
 		Blueprint:     bp,
 		Parallelism:   r.Cfg.Parallelism,
 		Rounds:        rounds,
 		RoundInterval: e20RoundInterval,
 		QuerySpacing:  2 * time.Second,
 	})
-	if err != nil {
-		return nil, err
-	}
-	r.burstDone = true
-	return r.burst, nil
 }
 
-// AccessWebGrid runs (once) the per-profile web grid consumed by E21.
-func (r *Runner) AccessWebGrid() ([]accessCell[measure.WebSample], error) {
-	r.accessWebMu.Lock()
-	defer r.accessWebMu.Unlock()
-	if r.accessWebDone {
-		return r.accessWeb, nil
-	}
-	cells, err := accessGrid(r, 110, r.Cfg.WebResolvers, func(bp *resolver.Blueprint) ([]measure.WebSample, error) {
+// accessWebCampaign runs the per-profile web grid consumed by E21.
+func (r *Runner) accessWebCampaign() ([]accessCell[measure.WebSample], error) {
+	return accessGrid(r, 110, r.Cfg.WebResolvers, func(bp *resolver.Blueprint) ([]measure.WebSample, error) {
 		return measure.RunWeb(measure.WebConfig{
 			Blueprint:   bp,
 			Parallelism: r.Cfg.Parallelism,
@@ -1452,12 +1365,6 @@ func (r *Runner) AccessWebGrid() ([]accessCell[measure.WebSample], error) {
 			Loads:       r.Cfg.WebLoads,
 		})
 	})
-	if err != nil {
-		return nil, err
-	}
-	r.accessWeb = cells
-	r.accessWebDone = true
-	return cells, nil
 }
 
 // runE19 reports the paper's vantage-diversity observation on the
@@ -1467,7 +1374,7 @@ func (r *Runner) AccessWebGrid() ([]accessCell[measure.WebSample], error) {
 // far more than the single-datagram Do53 exchange, and the satellite
 // profile's orbit latency dominates everything.
 func runE19(r *Runner) (string, error) {
-	cells, err := r.AccessGrid()
+	cells, err := r.access()
 	if err != nil {
 		return "", err
 	}
@@ -1512,7 +1419,7 @@ func runE19(r *Runner) (string, error) {
 // TCP transports' RTO (2*srtt+50ms), so in the bursty windows DoQ's
 // tail sits below DoT's and DoH's while the medians stay comparable.
 func runE20(r *Runner) (string, error) {
-	samples, err := r.BurstLossCampaign()
+	samples, err := r.burstLoss()
 	if err != nil {
 		return "", err
 	}
@@ -1560,7 +1467,7 @@ func runE20(r *Runner) (string, error) {
 // content serialization dominates and the relative encrypted penalty
 // compresses — except where lossy profiles hit the TCP transports.
 func runE21(r *Runner) (string, error) {
-	cells, err := r.AccessWebGrid()
+	cells, err := r.accessWeb()
 	if err != nil {
 		return "", err
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -77,18 +78,33 @@ func TestE1FunnelNumbersExactAtTinyScale(t *testing.T) {
 	}
 }
 
+// TestSingleQueryCachedAcrossExperiments calls the single-query cache
+// from concurrent goroutines, as RunAll's experiments do: the campaign
+// must run once and every caller must share its sample slice.
 func TestSingleQueryCachedAcrossExperiments(t *testing.T) {
 	r := NewRunner(tiny())
-	a, err := r.SingleQuery()
-	if err != nil {
-		t.Fatal(err)
+	const callers = 8
+	got := make([][]measure.SingleQuerySample, callers)
+	var wg sync.WaitGroup
+	wg.Add(callers)
+	for i := range got {
+		go func() {
+			defer wg.Done()
+			samples, err := r.singleQuery()
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = samples
+		}()
 	}
-	b, err := r.SingleQuery()
-	if err != nil {
-		t.Fatal(err)
+	wg.Wait()
+	if len(got[0]) == 0 {
+		t.Fatal("empty single-query campaign")
 	}
-	if &a[0] != &b[0] {
-		t.Error("single-query campaign re-ran instead of being cached")
+	for i, samples := range got[1:] {
+		if len(samples) == 0 || &samples[0] != &got[0][0] {
+			t.Errorf("caller %d got its own campaign instead of the cached one", i+1)
+		}
 	}
 }
 
@@ -129,7 +145,7 @@ func TestReportsDeterministicAcrossParallelism(t *testing.T) {
 // stream framing.
 func TestE13DoH3QuerySizesBelowDoH(t *testing.T) {
 	r := NewRunner(tiny())
-	samples, err := r.SingleQueryDoH3()
+	samples, err := r.singleQueryDoH3()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +223,7 @@ func TestE19GridCoversAllProfiles(t *testing.T) {
 			t.Errorf("E19 output missing profile %q:\n%s", want, out)
 		}
 	}
-	cells, err := r.AccessGrid()
+	cells, err := r.access()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +263,7 @@ func TestE20DoQTailBeatsTCPTransports(t *testing.T) {
 	cfg := tiny()
 	cfg.Resolvers = 24
 	r := NewRunner(cfg)
-	samples, err := r.BurstLossCampaign()
+	samples, err := r.burstLoss()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,11 +326,11 @@ func TestRunAllOrderAndCaching(t *testing.T) {
 			t.Errorf("%s: %v", e.ID, results[i].Err)
 		}
 	}
-	a, err := r.SingleQuery()
+	a, err := r.singleQuery()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.SingleQuery()
+	b, err := r.singleQuery()
 	if err != nil {
 		t.Fatal(err)
 	}
