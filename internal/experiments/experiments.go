@@ -426,48 +426,68 @@ func runE4(r *Runner) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	type sizes struct{ total, hsUp, hsDown, q, resp, n []float64 }
-	per := map[dox.Protocol]*sizes{}
-	for _, p := range dox.Protocols {
-		per[p] = &sizes{}
+	return sizeTable(samples, dox.Protocols,
+		"E4 — Table 1: median single-query sizes (bytes of IP payload)", "paper(DoQ/DoH/DoT)",
+		[]string{"4444/2163/1522", "2564/569/551", "1304/211/211", "190/579/261", "386/804/499"},
+		"~155-160k each (paper)"), nil
+}
+
+// sizeRows are Table 1's rows, each one byte count (IP payload) of a
+// measured exchange.
+var sizeRows = []struct {
+	name  string
+	bytes func(measure.SingleQuerySample) float64
+}{
+	{"Total", func(s measure.SingleQuerySample) float64 {
+		return float64(s.M.HandshakeTx + s.M.HandshakeRx + s.M.QueryTx + s.M.QueryRx)
+	}},
+	{"Handshake C->R", func(s measure.SingleQuerySample) float64 { return float64(s.M.HandshakeTx) }},
+	{"Handshake R->C", func(s measure.SingleQuerySample) float64 { return float64(s.M.HandshakeRx) }},
+	{"DNS Query", queryBytes},
+	{"DNS Response", func(s measure.SingleQuerySample) float64 { return float64(s.M.QueryRx) }},
+}
+
+func queryBytes(s measure.SingleQuerySample) float64 { return float64(s.M.QueryTx) }
+
+// sizeTable renders a Table-1-style size table: per row, the median of
+// each protocol's OK samples followed by the paper's figure (paper[i]
+// for sizeRows[i]), then a row counting the OK samples.
+func sizeTable(samples []measure.SingleQuerySample, protos []dox.Protocol, title, paperHeader string, paper []string, samplesNote string) string {
+	header := []string{"row"}
+	for _, p := range protos {
+		header = append(header, p.String())
 	}
-	counts := map[dox.Protocol]int{}
+	t := &report.Table{Title: title, Header: append(header, paperHeader)}
+	for i, row := range sizeRows {
+		cells := []string{row.name}
+		for _, p := range protos {
+			cells = append(cells, fmt.Sprintf("%.0f", median(samples, p, row.bytes)))
+		}
+		t.Add(append(cells, paper[i])...)
+	}
+	counts := []string{"Samples OK"}
+	for _, p := range protos {
+		n := 0
+		for _, s := range samples {
+			if s.OK && s.Protocol == p {
+				n++
+			}
+		}
+		counts = append(counts, fmt.Sprint(n))
+	}
+	t.Add(append(counts, samplesNote)...)
+	return t.String()
+}
+
+// median is the median of field over p's OK samples (0 without any).
+func median(samples []measure.SingleQuerySample, p dox.Protocol, field func(measure.SingleQuerySample) float64) float64 {
+	var xs []float64
 	for _, s := range samples {
-		if !s.OK {
-			continue
+		if s.OK && s.Protocol == p {
+			xs = append(xs, field(s))
 		}
-		counts[s.Protocol]++
-		z := per[s.Protocol]
-		z.hsUp = append(z.hsUp, float64(s.M.HandshakeTx))
-		z.hsDown = append(z.hsDown, float64(s.M.HandshakeRx))
-		z.q = append(z.q, float64(s.M.QueryTx))
-		z.resp = append(z.resp, float64(s.M.QueryRx))
-		z.total = append(z.total, float64(s.M.HandshakeTx+s.M.HandshakeRx+s.M.QueryTx+s.M.QueryRx))
 	}
-	t := &report.Table{
-		Title:  "E4 — Table 1: median single-query sizes (bytes of IP payload)",
-		Header: []string{"row", "DoUDP", "DoTCP", "DoQ", "DoH", "DoT", "paper(DoQ/DoH/DoT)"},
-	}
-	row := func(name string, f func(*sizes) []float64, paper string) {
-		cells := []string{name}
-		for _, p := range dox.Protocols {
-			cells = append(cells, fmt.Sprintf("%.0f", stats.Median(f(per[p]))))
-		}
-		cells = append(cells, paper)
-		t.Add(cells...)
-	}
-	row("Total", func(z *sizes) []float64 { return z.total }, "4444/2163/1522")
-	row("Handshake C->R", func(z *sizes) []float64 { return z.hsUp }, "2564/569/551")
-	row("Handshake R->C", func(z *sizes) []float64 { return z.hsDown }, "1304/211/211")
-	row("DNS Query", func(z *sizes) []float64 { return z.q }, "190/579/261")
-	row("DNS Response", func(z *sizes) []float64 { return z.resp }, "386/804/499")
-	sampleRow := []string{"Samples OK"}
-	for _, p := range dox.Protocols {
-		sampleRow = append(sampleRow, fmt.Sprint(counts[p]))
-	}
-	sampleRow = append(sampleRow, "~155-160k each (paper)")
-	t.Add(sampleRow...)
-	return t.String(), nil
+	return stats.Median(xs)
 }
 
 // --- E5 / E6: Fig. 2 matrices ---
@@ -848,50 +868,12 @@ func runE13(r *Runner) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	type sizes struct{ total, hsUp, hsDown, q, resp []float64 }
-	per := map[dox.Protocol]*sizes{}
-	counts := map[dox.Protocol]int{}
-	for _, p := range doh3Protocols {
-		per[p] = &sizes{}
-	}
-	for _, s := range samples {
-		if !s.OK {
-			continue
-		}
-		counts[s.Protocol]++
-		z := per[s.Protocol]
-		z.hsUp = append(z.hsUp, float64(s.M.HandshakeTx))
-		z.hsDown = append(z.hsDown, float64(s.M.HandshakeRx))
-		z.q = append(z.q, float64(s.M.QueryTx))
-		z.resp = append(z.resp, float64(s.M.QueryRx))
-		z.total = append(z.total, float64(s.M.HandshakeTx+s.M.HandshakeRx+s.M.QueryTx+s.M.QueryRx))
-	}
-	t := &report.Table{
-		Title:  "E13 — Table-1-style median single-query sizes with DoH3 (bytes of IP payload)",
-		Header: []string{"row", "DoQ", "DoH", "DoH3", "paper(DoQ/DoH)"},
-	}
-	row := func(name string, f func(*sizes) []float64, paper string) {
-		cells := []string{name}
-		for _, p := range doh3Protocols {
-			cells = append(cells, fmt.Sprintf("%.0f", stats.Median(f(per[p]))))
-		}
-		cells = append(cells, paper)
-		t.Add(cells...)
-	}
-	row("Total", func(z *sizes) []float64 { return z.total }, "4444/2163")
-	row("Handshake C->R", func(z *sizes) []float64 { return z.hsUp }, "2564/569")
-	row("Handshake R->C", func(z *sizes) []float64 { return z.hsDown }, "1304/211")
-	row("DNS Query", func(z *sizes) []float64 { return z.q }, "190/579")
-	row("DNS Response", func(z *sizes) []float64 { return z.resp }, "386/804")
-	sampleRow := []string{"Samples OK"}
-	for _, p := range doh3Protocols {
-		sampleRow = append(sampleRow, fmt.Sprint(counts[p]))
-	}
-	sampleRow = append(sampleRow, "no DoH3 in paper (§5)")
-	t.Add(sampleRow...)
 	var sb strings.Builder
-	sb.WriteString(t.String())
-	qH, qH3, qQ := stats.Median(per[dox.DoH].q), stats.Median(per[dox.DoH3].q), stats.Median(per[dox.DoQ].q)
+	sb.WriteString(sizeTable(samples, doh3Protocols,
+		"E13 — Table-1-style median single-query sizes with DoH3 (bytes of IP payload)", "paper(DoQ/DoH)",
+		[]string{"4444/2163", "2564/569", "1304/211", "190/579", "386/804"},
+		"no DoH3 in paper (§5)"))
+	qH, qH3, qQ := median(samples, dox.DoH, queryBytes), median(samples, dox.DoH3, queryBytes), median(samples, dox.DoQ, queryBytes)
 	fmt.Fprintf(&sb, "DoH3 median query: %.0f B vs DoH %.0f B (%s; QPACK static refs, no TCP/TLS layering) and DoQ %.0f B (%s; HTTP framing remains)\n",
 		qH3, qH, stats.FormatPct(stats.RelDiff(qH3, qH)), qQ, stats.FormatPct(stats.RelDiff(qH3, qQ)))
 	sb.WriteString("expectation (§5): moving DoH onto QUIC sheds most of the framing/header overhead but not all of DoQ's edge\n")
