@@ -553,48 +553,112 @@ func runE6(r *Runner) (string, error) {
 
 // --- E7 / E8 / E9: web figures ---
 
-// relDiffSeries computes, for each [vantage,resolver,page] combination,
-// the relative difference of each protocol's per-combo median metric
-// against the baseline protocol.
-func relDiffSeries(samples []measure.WebSample, metric func(measure.WebSample) time.Duration, baseline dox.Protocol) map[dox.Protocol][]float64 {
-	type key struct {
-		vantage  string
-		resolver int
-		page     string
-	}
-	med := map[key]map[dox.Protocol][]float64{}
+// comboKey names one [vantage : resolver : page] web combination.
+type comboKey struct {
+	vantage  string
+	resolver int
+	page     string
+}
+
+// cellKey names one Fig. 4 grid cell: a vantage and a page.
+type cellKey struct {
+	vantage string
+	page    string
+}
+
+// relDiffs holds, for each [vantage : resolver : page] combination, the
+// relative difference of every protocol's median metric against the
+// baseline protocol's median.
+type relDiffs struct {
+	// series pools the differences of all combinations per protocol
+	// (Fig. 3's CDF input).
+	series map[dox.Protocol][]float64
+	// cells pools them per (vantage, page) across resolvers (Fig. 4's
+	// grid input). A cell exists once one of its combinations has a
+	// baseline, even if no other protocol was measured there.
+	cells map[cellKey]map[dox.Protocol][]float64
+}
+
+// relDiff computes the per-combination differences against baseline
+// over the OK samples. A combination whose baseline median is 0 is
+// skipped; since stats.Median(nil) is 0, that covers a combination
+// without baseline samples too.
+func relDiff(samples []measure.WebSample, metric func(measure.WebSample) time.Duration, baseline dox.Protocol) relDiffs {
+	med := map[comboKey]map[dox.Protocol][]float64{}
 	for _, s := range samples {
 		if !s.OK {
 			continue
 		}
-		k := key{s.Vantage, s.ResolverIdx, s.Page}
+		k := comboKey{s.Vantage, s.ResolverIdx, s.Page}
 		if med[k] == nil {
 			med[k] = map[dox.Protocol][]float64{}
 		}
 		med[k][s.Protocol] = append(med[k][s.Protocol], float64(metric(s)))
 	}
-	out := map[dox.Protocol][]float64{}
-	for _, perProto := range med {
-		base, ok := perProto[baseline]
-		if !ok {
-			continue
-		}
-		b := stats.Median(base)
+	out := relDiffs{series: map[dox.Protocol][]float64{}, cells: map[cellKey]map[dox.Protocol][]float64{}}
+	for k, perProto := range med {
+		b := stats.Median(perProto[baseline])
 		if b == 0 {
 			continue
+		}
+		ck := cellKey{k.vantage, k.page}
+		cell := out.cells[ck]
+		if cell == nil {
+			cell = map[dox.Protocol][]float64{}
+			out.cells[ck] = cell
 		}
 		for p, xs := range perProto {
 			if p == baseline {
 				continue
 			}
-			out[p] = append(out[p], stats.RelDiff(stats.Median(xs), b))
+			d := stats.RelDiff(stats.Median(xs), b)
+			out.series[p] = append(out.series[p], d)
+			cell[p] = append(cell[p], d)
 		}
 	}
 	return out
 }
 
+func plt(s measure.WebSample) time.Duration { return s.PLT }
+
+// positives counts the entries of a relDiffs series above zero: the
+// combinations where the protocol was slower than the baseline.
+func positives(xs []float64) int {
+	n := 0
+	for _, x := range xs {
+		if x > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// gridTable renders the Fig. 4 grid: one row per vantage and one column
+// per page, each cell "a|b", the median differences of protocols a and b
+// ("-" for a cell without a baseline).
+func gridTable(title string, cells map[cellKey]map[dox.Protocol][]float64, pgs []*pages.Page, a, b dox.Protocol) string {
+	header := []string{"vantage"}
+	for _, pg := range pgs {
+		header = append(header, pg.Name)
+	}
+	t := &report.Table{Title: title, Header: header}
+	for _, vp := range vantageNames() {
+		row := []string{vp}
+		for _, pg := range pgs {
+			m := cells[cellKey{vp, pg.Name}]
+			if m == nil {
+				row = append(row, "-")
+				continue
+			}
+			row = append(row, stats.FormatPct(stats.Median(m[a]))+"|"+stats.FormatPct(stats.Median(m[b])))
+		}
+		t.Add(row...)
+	}
+	return t.String()
+}
+
 func fig3(samples []measure.WebSample, title string, metric func(measure.WebSample) time.Duration) string {
-	series := relDiffSeries(samples, metric, dox.DoUDP)
+	series := relDiff(samples, metric, dox.DoUDP).series
 	var sb strings.Builder
 	sb.WriteString(title + "\n")
 	thresholds := []float64{0, 0.10, 0.20}
@@ -620,8 +684,7 @@ func runE8(r *Runner) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	out := fig3(samples, "E8 — Fig. 3b: relative PLT difference vs DoUDP (per-combo medians)",
-		func(s measure.WebSample) time.Duration { return s.PLT })
+	out := fig3(samples, "E8 — Fig. 3b: relative PLT difference vs DoUDP (per-combo medians)", plt)
 	return out + "paper: <15% of DoQ loads increase PLT by >15%; >40% of DoH loads do\n", nil
 }
 
@@ -630,100 +693,24 @@ func runE9(r *Runner) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	series := relDiffSeries(samples, func(s measure.WebSample) time.Duration { return s.PLT }, dox.DoQ)
-	_ = series
-	// Per (vantage, page): median rel diff of DoUDP and DoH vs DoQ.
-	type key struct {
-		vantage string
-		page    string
-	}
-	perCell := map[key]map[dox.Protocol][]float64{}
-	type comboKey struct {
-		vantage  string
-		resolver int
-		page     string
-	}
-	med := map[comboKey]map[dox.Protocol][]float64{}
-	for _, s := range samples {
-		if !s.OK {
-			continue
-		}
-		k := comboKey{s.Vantage, s.ResolverIdx, s.Page}
-		if med[k] == nil {
-			med[k] = map[dox.Protocol][]float64{}
-		}
-		med[k][s.Protocol] = append(med[k][s.Protocol], float64(s.PLT))
-	}
-	doqFasterThanDoH, cells := 0, 0
-	for k, perProto := range med {
-		base := stats.Median(perProto[dox.DoQ])
-		if base == 0 {
-			continue
-		}
-		ck := key{k.vantage, k.page}
-		if perCell[ck] == nil {
-			perCell[ck] = map[dox.Protocol][]float64{}
-		}
-		for _, p := range []dox.Protocol{dox.DoUDP, dox.DoH} {
-			if xs := perProto[p]; len(xs) > 0 {
-				perCell[ck][p] = append(perCell[ck][p], stats.RelDiff(stats.Median(xs), base))
-			}
-		}
-		if xs := perProto[dox.DoH]; len(xs) > 0 {
-			cells++
-			if stats.Median(xs) > base {
-				doqFasterThanDoH++
-			}
-		}
-	}
-	pageOrder := []string{}
-	for _, p := range pages.Top10() {
-		pageOrder = append(pageOrder, p.Name)
-	}
-	t := &report.Table{
-		Title:  "E9 — Fig. 4: median relative PLT vs DoQ baseline (DoUDP | DoH), per vantage and page",
-		Header: append([]string{"vantage"}, pageOrder...),
-	}
-	for _, vp := range vantageNames() {
-		cellsRow := []string{vp}
-		for _, pg := range pageOrder {
-			m := perCell[key{vp, pg}]
-			if m == nil {
-				cellsRow = append(cellsRow, "-")
-				continue
-			}
-			cellsRow = append(cellsRow, fmt.Sprintf("%s|%s",
-				stats.FormatPct(stats.Median(m[dox.DoUDP])),
-				stats.FormatPct(stats.Median(m[dox.DoH]))))
-		}
-		t.Add(cellsRow...)
-	}
+	d := relDiff(samples, plt, dox.DoQ)
 	var sb strings.Builder
-	sb.WriteString(t.String())
+	sb.WriteString(gridTable("E9 — Fig. 4: median relative PLT vs DoQ baseline (DoUDP | DoH), per vantage and page",
+		d.cells, pages.Top10(), dox.DoUDP, dox.DoH))
+	doh := d.series[dox.DoH]
 	fmt.Fprintf(&sb, "DoQ faster than DoH in %s of [vantage:resolver:page] combinations (paper: DoQ mostly improves on DoH; up to 10%% for simple pages)\n",
-		report.Pct(doqFasterThanDoH, cells))
+		report.Pct(positives(doh), len(doh)))
 	// Amortization: rel diff DoUDP-vs-DoQ per page (negative = DoUDP faster).
 	sb.WriteString("Amortization (median DoUDP-vs-DoQ rel. PLT per page; paper: -10% simple pages -> ~-2% complex):\n")
-	var pagesSorted []string
-	seen := map[string]bool{}
-	for _, pg := range pageOrder {
-		if !seen[pg] {
-			seen[pg] = true
-			pagesSorted = append(pagesSorted, pg)
-		}
-	}
-	sort.SliceStable(pagesSorted, func(i, j int) bool {
-		return pages.ByName(pagesSorted[i]).DNSQueryCount() < pages.ByName(pagesSorted[j]).DNSQueryCount()
-	})
-	for _, pg := range pagesSorted {
+	pgs := pages.Top10()
+	sort.SliceStable(pgs, func(i, j int) bool { return pgs[i].DNSQueryCount() < pgs[j].DNSQueryCount() })
+	for _, pg := range pgs {
 		var xs []float64
 		for _, vp := range vantageNames() {
-			if m := perCell[key{vp, pg}]; m != nil {
-				xs = append(xs, m[dox.DoUDP]...)
-			}
+			xs = append(xs, d.cells[cellKey{vp, pg.Name}][dox.DoUDP]...)
 		}
 		if len(xs) > 0 {
-			fmt.Fprintf(&sb, "  %-10s (%d queries): %s\n", pg, pages.ByName(pg).DNSQueryCount(), stats.FormatPct(stats.Median(xs)))
+			fmt.Fprintf(&sb, "  %-10s (%d queries): %s\n", pg.Name, pg.DNSQueryCount(), stats.FormatPct(stats.Median(xs)))
 		}
 	}
 	return sb.String(), nil
@@ -844,8 +831,7 @@ func runE12(r *Runner) (string, error) {
 		return "", err
 	}
 	med := func(samples []measure.WebSample) float64 {
-		series := relDiffSeries(samples, func(s measure.WebSample) time.Duration { return s.PLT }, dox.DoUDP)
-		return stats.Median(series[dox.DoT])
+		return stats.Median(relDiff(samples, plt, dox.DoUDP).series[dox.DoT])
 	}
 	var sb strings.Builder
 	sb.WriteString("E12 — DoT proxy in-flight bug (paper §3.2 root cause + community contribution)\n")
@@ -901,75 +887,13 @@ func runE15(r *Runner) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	type comboKey struct {
-		vantage  string
-		resolver int
-		page     string
-	}
-	med := map[comboKey]map[dox.Protocol][]float64{}
-	for _, s := range samples {
-		if !s.OK {
-			continue
-		}
-		k := comboKey{s.Vantage, s.ResolverIdx, s.Page}
-		if med[k] == nil {
-			med[k] = map[dox.Protocol][]float64{}
-		}
-		med[k][s.Protocol] = append(med[k][s.Protocol], float64(s.PLT))
-	}
-	type key struct {
-		vantage string
-		page    string
-	}
-	perCell := map[key]map[dox.Protocol][]float64{}
-	doh3FasterThanDoH, cells := 0, 0
-	for k, perProto := range med {
-		base := stats.Median(perProto[dox.DoH3])
-		if base == 0 {
-			continue
-		}
-		ck := key{k.vantage, k.page}
-		if perCell[ck] == nil {
-			perCell[ck] = map[dox.Protocol][]float64{}
-		}
-		for _, p := range []dox.Protocol{dox.DoQ, dox.DoH} {
-			if xs := perProto[p]; len(xs) > 0 {
-				perCell[ck][p] = append(perCell[ck][p], stats.RelDiff(stats.Median(xs), base))
-			}
-		}
-		if xs := perProto[dox.DoH]; len(xs) > 0 {
-			cells++
-			if stats.Median(xs) > base {
-				doh3FasterThanDoH++
-			}
-		}
-	}
-	pageOrder := []string{}
-	for _, p := range pages.Top10() {
-		pageOrder = append(pageOrder, p.Name)
-	}
-	t := &report.Table{
-		Title:  "E15 — PLT grid, DoH3 baseline: median relative PLT (DoQ | DoH), per vantage and page",
-		Header: append([]string{"vantage"}, pageOrder...),
-	}
-	for _, vp := range vantageNames() {
-		cellsRow := []string{vp}
-		for _, pg := range pageOrder {
-			m := perCell[key{vp, pg}]
-			if m == nil {
-				cellsRow = append(cellsRow, "-")
-				continue
-			}
-			cellsRow = append(cellsRow, fmt.Sprintf("%s|%s",
-				stats.FormatPct(stats.Median(m[dox.DoQ])),
-				stats.FormatPct(stats.Median(m[dox.DoH]))))
-		}
-		t.Add(cellsRow...)
-	}
+	d := relDiff(samples, plt, dox.DoH3)
 	var sb strings.Builder
-	sb.WriteString(t.String())
+	sb.WriteString(gridTable("E15 — PLT grid, DoH3 baseline: median relative PLT (DoQ | DoH), per vantage and page",
+		d.cells, pages.Top10(), dox.DoQ, dox.DoH))
+	doh := d.series[dox.DoH]
 	fmt.Fprintf(&sb, "DoH3 faster than DoH in %s of [vantage:resolver:page] combinations (positive DoH cells = DoH slower than the DoH3 baseline)\n",
-		report.Pct(doh3FasterThanDoH, cells))
+		report.Pct(positives(doh), len(doh)))
 	sb.WriteString("expectation (§5): page loads over DoH3 sit at DoQ's level — the HTTP layer costs bytes, not round trips\n")
 	return sb.String(), nil
 }
@@ -1130,81 +1054,13 @@ func runE18(r *Runner) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	type comboKey struct {
-		vantage  string
-		resolver int
-		page     string
-	}
-	type cellKey struct {
-		vantage string
-		page    string
-	}
-	grid := func(samples []measure.WebSample) map[cellKey]map[dox.Protocol][]float64 {
-		med := map[comboKey]map[dox.Protocol][]float64{}
-		for _, s := range samples {
-			if !s.OK {
-				continue
-			}
-			k := comboKey{s.Vantage, s.ResolverIdx, s.Page}
-			if med[k] == nil {
-				med[k] = map[dox.Protocol][]float64{}
-			}
-			med[k][s.Protocol] = append(med[k][s.Protocol], float64(s.PLT))
-		}
-		perCell := map[cellKey]map[dox.Protocol][]float64{}
-		for k, perProto := range med {
-			base := stats.Median(perProto[dox.DoUDP])
-			if base == 0 {
-				continue
-			}
-			ck := cellKey{k.vantage, k.page}
-			if perCell[ck] == nil {
-				perCell[ck] = map[dox.Protocol][]float64{}
-			}
-			for _, p := range []dox.Protocol{dox.DoQ, dox.DoH} {
-				if xs := perProto[p]; len(xs) > 0 {
-					perCell[ck][p] = append(perCell[ck][p], stats.RelDiff(stats.Median(xs), base))
-				}
-			}
-		}
-		return perCell
-	}
-	warmCells := grid(warm)
-	coldCells := grid(cold)
-	pageOrder := []string{}
-	for _, p := range pages.Top10()[:r.Cfg.WebPages] {
-		pageOrder = append(pageOrder, p.Name)
-	}
-	t := &report.Table{
-		Title:  "E18 — PLT grid under a warm shared (stub) cache: median relative PLT vs DoUDP (DoQ | DoH)",
-		Header: append([]string{"vantage"}, pageOrder...),
-	}
-	for _, vp := range vantageNames() {
-		cellsRow := []string{vp}
-		for _, pg := range pageOrder {
-			m := warmCells[cellKey{vp, pg}]
-			if m == nil {
-				cellsRow = append(cellsRow, "-")
-				continue
-			}
-			cellsRow = append(cellsRow, fmt.Sprintf("%s|%s",
-				stats.FormatPct(stats.Median(m[dox.DoQ])),
-				stats.FormatPct(stats.Median(m[dox.DoH]))))
-		}
-		t.Add(cellsRow...)
-	}
-	overall := func(cells map[cellKey]map[dox.Protocol][]float64, p dox.Protocol) float64 {
-		var xs []float64
-		for _, m := range cells {
-			xs = append(xs, m[p]...)
-		}
-		return stats.Median(xs)
-	}
+	warmDiffs, coldDiffs := relDiff(warm, plt, dox.DoUDP), relDiff(cold, plt, dox.DoUDP)
+	overall := func(d relDiffs, p dox.Protocol) string { return stats.FormatPct(stats.Median(d.series[p])) }
 	var sb strings.Builder
-	sb.WriteString(t.String())
+	sb.WriteString(gridTable("E18 — PLT grid under a warm shared (stub) cache: median relative PLT vs DoUDP (DoQ | DoH)",
+		warmDiffs.cells, pages.Top10()[:r.Cfg.WebPages], dox.DoQ, dox.DoH))
 	fmt.Fprintf(&sb, "median PLT penalty vs DoUDP, cold proxy -> warm stub cache: DoQ %s -> %s, DoH %s -> %s\n",
-		stats.FormatPct(overall(coldCells, dox.DoQ)), stats.FormatPct(overall(warmCells, dox.DoQ)),
-		stats.FormatPct(overall(coldCells, dox.DoH)), stats.FormatPct(overall(warmCells, dox.DoH)))
+		overall(coldDiffs, dox.DoQ), overall(warmDiffs, dox.DoQ), overall(coldDiffs, dox.DoH), overall(warmDiffs, dox.DoH))
 	sb.WriteString("expectation: with repeated names absorbed at the stub, upstream DNS leaves the page-load critical path\n")
 	sb.WriteString("and the encrypted transports' PLT penalty shrinks toward DoUDP's\n")
 	return sb.String(), nil
@@ -1469,7 +1325,7 @@ func runE21(r *Runner) (string, error) {
 				udp = append(udp, float64(s.PLT))
 			}
 		}
-		series := relDiffSeries(cell.samples, func(s measure.WebSample) time.Duration { return s.PLT }, dox.DoUDP)
+		series := relDiff(cell.samples, plt, dox.DoUDP).series
 		t.Add(cell.profile,
 			report.Ms(stats.Median(udp)),
 			stats.FormatPct(stats.Median(series[dox.DoQ])),

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -336,5 +337,49 @@ func TestRunAllOrderAndCaching(t *testing.T) {
 	}
 	if len(a) == 0 || &a[0] != &b[0] {
 		t.Error("single-query campaign was not cached across RunAll")
+	}
+}
+
+// TestRelDiffSkipsAndPools pins the skip and pooling rules of the
+// relative-difference core behind Fig. 3 and Fig. 4 on hand-built
+// samples.
+func TestRelDiffSkipsAndPools(t *testing.T) {
+	ms := func(v int) time.Duration { return time.Duration(v) * time.Millisecond }
+	sample := func(vantage string, resolver int, page string, p dox.Protocol, plt int) measure.WebSample {
+		return measure.WebSample{Vantage: vantage, ResolverIdx: resolver, Page: page, Protocol: p, PLT: ms(plt), OK: true}
+	}
+	samples := []measure.WebSample{
+		// Two resolvers' combinations in the same (v1, p1) cell.
+		sample("v1", 0, "p1", dox.DoUDP, 100),
+		sample("v1", 0, "p1", dox.DoQ, 110),
+		sample("v1", 0, "p1", dox.DoH, 90),
+		sample("v1", 1, "p1", dox.DoUDP, 200),
+		sample("v1", 1, "p1", dox.DoH, 300),
+		// No baseline samples (the failed one does not count): skipped.
+		sample("v1", 2, "p2", dox.DoH, 100),
+		{Vantage: "v1", ResolverIdx: 2, Page: "p2", Protocol: dox.DoUDP, PLT: ms(100)},
+		// A zero-median baseline: skipped.
+		sample("v2", 0, "p1", dox.DoUDP, 0),
+		sample("v2", 0, "p1", dox.DoH, 100),
+	}
+	d := relDiff(samples, plt, dox.DoUDP)
+
+	if len(d.cells) != 1 {
+		t.Fatalf("got %d grid cells, want only (v1, p1): %v", len(d.cells), d.cells)
+	}
+	cell := d.cells[cellKey{"v1", "p1"}]
+	if got := len(cell[dox.DoH]); got != 2 {
+		t.Errorf("(v1, p1) pools %d DoH entries, want one per resolver (2)", got)
+	}
+	doh := d.series[dox.DoH]
+	if len(doh) != 2 || len(d.series[dox.DoQ]) != 1 {
+		t.Fatalf("series DoH %v, DoQ %v: want 2 and 1 entries", doh, d.series[dox.DoQ])
+	}
+	if lo, hi := min(doh[0], doh[1]), max(doh[0], doh[1]); math.Abs(lo+0.1) > 1e-9 || math.Abs(hi-0.5) > 1e-9 {
+		t.Errorf("DoH series %v, want {-10%%, +50%%}", doh)
+	}
+	// DoH is slower than the baseline in exactly one combination.
+	if got := positives(doh); got != 1 {
+		t.Errorf("positives(DoH) = %d, want 1", got)
 	}
 }
