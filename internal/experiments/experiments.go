@@ -23,7 +23,6 @@ import (
 	"repro/internal/resolver"
 	"repro/internal/scan"
 	"repro/internal/stats"
-	"repro/internal/tlsmini"
 )
 
 // Config scales the campaigns. The defaults run every experiment in a
@@ -490,9 +489,22 @@ func median(samples []measure.SingleQuerySample, p dox.Protocol, field func(meas
 	return stats.Median(xs)
 }
 
+func handshakeTime(s measure.SingleQuerySample) float64 { return float64(s.Handshake) }
+func resolveTime(s measure.SingleQuerySample) float64   { return float64(s.Resolve) }
+func totalTime(s measure.SingleQuerySample) float64     { return float64(s.Total) }
+
+// ablation runs an experiment's off and on arms, in that order.
+func ablation[T any](run func(on bool) (T, error)) (off, on T, err error) {
+	if off, err = run(false); err != nil {
+		return off, on, err
+	}
+	on, err = run(true)
+	return off, on, err
+}
+
 // --- E5 / E6: Fig. 2 matrices ---
 
-func fig2Matrix(samples []measure.SingleQuerySample, title string, f func(measure.SingleQuerySample) time.Duration, protos []dox.Protocol, skipUDP bool) string {
+func fig2Matrix(samples []measure.SingleQuerySample, title string, f func(measure.SingleQuerySample) float64, protos []dox.Protocol, skipUDP bool) string {
 	rowsOrder := append([]string{"Total"}, vantageNames()...)
 	header := []string{"vantage"}
 	for _, p := range protos {
@@ -514,7 +526,7 @@ func fig2Matrix(samples []measure.SingleQuerySample, title string, f func(measur
 				if rowName != "Total" && s.Vantage != rowName {
 					continue
 				}
-				xs = append(xs, float64(f(s)))
+				xs = append(xs, f(s))
 			}
 			cells = append(cells, report.Ms(stats.Median(xs)))
 		}
@@ -536,8 +548,7 @@ func runE5(r *Runner) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s := fig2Matrix(samples, "E5 — Fig. 2a: median handshake time (ms)",
-		func(s measure.SingleQuerySample) time.Duration { return s.Handshake }, dox.Protocols, true)
+	s := fig2Matrix(samples, "E5 — Fig. 2a: median handshake time (ms)", handshakeTime, dox.Protocols, true)
 	return s + "paper Total row: DoTCP 183.2, DoQ 186.7, DoH 375.8, DoT 376.6\n", nil
 }
 
@@ -546,8 +557,7 @@ func runE6(r *Runner) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s := fig2Matrix(samples, "E6 — Fig. 2b: median resolve time (ms)",
-		func(s measure.SingleQuerySample) time.Duration { return s.Resolve }, dox.Protocols, false)
+	s := fig2Matrix(samples, "E6 — Fig. 2b: median resolve time (ms)", resolveTime, dox.Protocols, false)
 	return s + "paper Total row: DoUDP 183.8, DoTCP 184.8, DoQ 185.4, DoH 187.3, DoT 185.7\n", nil
 }
 
@@ -723,16 +733,12 @@ func runE10(r *Runner) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	with, err := measure.RunSingleQuery(measure.SingleQueryConfig{
-		Blueprint: bp, Parallelism: r.Cfg.Parallelism,
-		Protocols: []dox.Protocol{dox.DoQ, dox.DoH, dox.DoT},
-	})
-	if err != nil {
-		return "", err
-	}
-	without, err := measure.RunSingleQuery(measure.SingleQueryConfig{
-		Blueprint: bp, Parallelism: r.Cfg.Parallelism,
-		Protocols: []dox.Protocol{dox.DoQ, dox.DoH, dox.DoT}, DisableResumption: true,
+	protos := []dox.Protocol{dox.DoQ, dox.DoH, dox.DoT}
+	with, without, err := ablation(func(disable bool) ([]measure.SingleQuerySample, error) {
+		return measure.RunSingleQuery(measure.SingleQueryConfig{
+			Blueprint: bp, Parallelism: r.Cfg.Parallelism,
+			Protocols: protos, DisableResumption: disable,
+		})
 	})
 	if err != nil {
 		return "", err
@@ -741,26 +747,16 @@ func runE10(r *Runner) (string, error) {
 		Title:  "E10 — handshake medians with vs without Session Resumption (ms)",
 		Header: []string{"protocol", "resumed", "cold", "penalty"},
 	}
-	for _, p := range []dox.Protocol{dox.DoQ, dox.DoH, dox.DoT} {
-		a := medianHandshake(with, p)
-		b := medianHandshake(without, p)
+	for _, p := range protos {
+		a := median(with, p, handshakeTime)
+		b := median(without, p, handshakeTime)
 		t.Add(p.String(), report.Ms(a), report.Ms(b), stats.FormatPct(stats.RelDiff(b, a)))
 	}
 	return t.String() + "paper: ~40% of cold DoQ handshakes pay +1 RTT (amplification limit); Session Resumption removes it\n", nil
 }
 
-func medianHandshake(samples []measure.SingleQuerySample, p dox.Protocol) float64 {
-	var xs []float64
-	for _, s := range samples {
-		if s.OK && s.Protocol == p {
-			xs = append(xs, float64(s.Handshake))
-		}
-	}
-	return stats.Median(xs)
-}
-
 func runE11(r *Runner) (string, error) {
-	mk := func(zeroRTT bool) ([]measure.SingleQuerySample, error) {
+	base, early, err := ablation(func(zeroRTT bool) ([]measure.SingleQuerySample, error) {
 		bp, err := r.blueprint(30, r.Cfg.Resolvers, func(p *resolver.Profile) {
 			p.AcceptEarlyData = zeroRTT
 		})
@@ -771,23 +767,9 @@ func runE11(r *Runner) (string, error) {
 			Blueprint: bp, Parallelism: r.Cfg.Parallelism,
 			Protocols: []dox.Protocol{dox.DoQ}, Use0RTT: zeroRTT,
 		})
-	}
-	base, err := mk(false)
+	})
 	if err != nil {
 		return "", err
-	}
-	early, err := mk(true)
-	if err != nil {
-		return "", err
-	}
-	total := func(samples []measure.SingleQuerySample) float64 {
-		var xs []float64
-		for _, s := range samples {
-			if s.OK {
-				xs = append(xs, float64(s.Total))
-			}
-		}
-		return stats.Median(xs)
 	}
 	used := 0
 	okN := 0
@@ -802,13 +784,13 @@ func runE11(r *Runner) (string, error) {
 	var sb strings.Builder
 	sb.WriteString("E11 — 0-RTT at resolvers (the paper's future work, §4)\n")
 	fmt.Fprintf(&sb, "median DoQ total response time (connect to answer): baseline %sms, with 0-RTT %sms (0-RTT used in %s of sessions)\n",
-		report.Ms(total(base)), report.Ms(total(early)), report.Pct(used, okN))
+		report.Ms(median(base, dox.DoQ, totalTime)), report.Ms(median(early, dox.DoQ, totalTime)), report.Pct(used, okN))
 	sb.WriteString("expectation: 0-RTT shifts DoQ total response time close to DoUDP's single round trip\n")
 	return sb.String(), nil
 }
 
 func runE12(r *Runner) (string, error) {
-	run := func(fixed bool) ([]measure.WebSample, error) {
+	buggy, fixed, err := ablation(func(fixed bool) ([]measure.WebSample, error) {
 		bp, err := r.blueprint(40, r.Cfg.WebResolvers, nil)
 		if err != nil {
 			return nil, err
@@ -821,12 +803,7 @@ func runE12(r *Runner) (string, error) {
 			Loads:       r.Cfg.WebLoads,
 			FixDoTReuse: fixed,
 		})
-	}
-	buggy, err := run(false)
-	if err != nil {
-		return "", err
-	}
-	fixed, err := run(true)
+	})
 	if err != nil {
 		return "", err
 	}
@@ -873,9 +850,8 @@ func runE14(r *Runner) (string, error) {
 	}
 	var sb strings.Builder
 	sb.WriteString(fig2Matrix(samples, "E14 — median handshake time per vantage: DoH3 vs DoQ vs DoH (ms)",
-		func(s measure.SingleQuerySample) time.Duration { return s.Handshake }, doh3Protocols, false))
-	sb.WriteString(fig2Matrix(samples, "E14 — median resolve time per vantage (ms)",
-		func(s measure.SingleQuerySample) time.Duration { return s.Resolve }, doh3Protocols, false))
+		handshakeTime, doh3Protocols, false))
+	sb.WriteString(fig2Matrix(samples, "E14 — median resolve time per vantage (ms)", resolveTime, doh3Protocols, false))
 	sb.WriteString("expectation: DoH3 handshakes match DoQ (one combined QUIC round trip, resumed), one RTT below DoH's TCP+TLS; resolve times converge across all three\n")
 	return sb.String(), nil
 }
@@ -986,37 +962,23 @@ func runE17(r *Runner) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	run := func(flush bool) ([]measure.SingleQuerySample, error) {
+	cached, uncached, err := ablation(func(flush bool) ([]measure.SingleQuerySample, error) {
 		return measure.RunSingleQuery(measure.SingleQueryConfig{
 			Blueprint:          bp,
 			Parallelism:        r.Cfg.Parallelism,
 			FlushResolverCache: flush,
 		})
-	}
-	cached, err := run(false)
+	})
 	if err != nil {
 		return "", err
-	}
-	uncached, err := run(true)
-	if err != nil {
-		return "", err
-	}
-	medResolve := func(samples []measure.SingleQuerySample, p dox.Protocol) float64 {
-		var xs []float64
-		for _, s := range samples {
-			if s.OK && s.Protocol == p {
-				xs = append(xs, float64(s.Resolve))
-			}
-		}
-		return stats.Median(xs)
 	}
 	t := &report.Table{
 		Title:  "E17 — median resolve time, cached vs uncached, lossless paths (ms)",
 		Header: []string{"protocol", "cached", "uncached", "recursion cost"},
 	}
 	for _, p := range dox.Protocols {
-		c := medResolve(cached, p)
-		u := medResolve(uncached, p)
+		c := median(cached, p, resolveTime)
+		u := median(uncached, p, resolveTime)
 		t.Add(p.String(), report.Ms(c), report.Ms(u), stats.FormatPct(stats.RelDiff(u, c)))
 	}
 	var sb strings.Builder
@@ -1032,7 +994,7 @@ func runE17(r *Runner) (string, error) {
 // measured loads resolving repeated names locally.
 func runE18(r *Runner) (string, error) {
 	protos := []dox.Protocol{dox.DoUDP, dox.DoQ, dox.DoH}
-	run := func(warm bool) ([]measure.WebSample, error) {
+	cold, warm, err := ablation(func(warm bool) ([]measure.WebSample, error) {
 		bp, err := r.blueprint(90, r.Cfg.WebResolvers, nil)
 		if err != nil {
 			return nil, err
@@ -1045,12 +1007,7 @@ func runE18(r *Runner) (string, error) {
 			Loads:       r.Cfg.WebLoads,
 			StubCache:   warm,
 		})
-	}
-	cold, err := run(false)
-	if err != nil {
-		return "", err
-	}
-	warm, err := run(true)
+	})
 	if err != nil {
 		return "", err
 	}
@@ -1227,19 +1184,12 @@ func runE19(r *Runner) (string, error) {
 	for _, cell := range cells {
 		row := []string{cell.profile}
 		for _, p := range dox.Protocols {
-			var hs, res []float64
-			for _, s := range cell.samples {
-				if !s.OK || s.Protocol != p {
-					continue
-				}
-				hs = append(hs, float64(s.Handshake))
-				res = append(res, float64(s.Resolve))
-			}
+			res := report.Ms(median(cell.samples, p, resolveTime))
 			if p == dox.DoUDP {
-				row = append(row, "-|"+report.Ms(stats.Median(res)))
+				row = append(row, "-|"+res)
 				continue
 			}
-			row = append(row, report.Ms(stats.Median(hs))+"|"+report.Ms(stats.Median(res)))
+			row = append(row, report.Ms(median(cell.samples, p, handshakeTime))+"|"+res)
 		}
 		t.Add(row...)
 	}
@@ -1338,6 +1288,3 @@ func runE21(r *Runner) (string, error) {
 	sb.WriteString("link); the relative encrypted-DNS penalty is largest on fast links and compresses once content dominates\n")
 	return sb.String(), nil
 }
-
-// Ensure unused import pruning doesn't bite.
-var _ = tlsmini.VersionTLS13

@@ -42,7 +42,7 @@ func (r *Runner) proxyNames() int {
 func runE22(r *Runner) (string, error) {
 	const clients = 4
 	rounds := r.proxyRounds()
-	run := func(coalesce bool) (measure.ProxyServeSummary, error) {
+	off, on, err := ablation(func(coalesce bool) (measure.ProxyServeSummary, error) {
 		bp, err := r.blueprint(120, r.Cfg.WebResolvers, func(p *resolver.Profile) {
 			// Isolate the coalescing dynamics: answer every query and pin
 			// a short TTL so popular names keep re-expiring into the
@@ -65,12 +65,7 @@ func runE22(r *Runner) (string, error) {
 			return measure.ProxyServeSummary{}, err
 		}
 		return measure.MergeProxyServeSummaries(sums), nil
-	}
-	off, err := run(false)
-	if err != nil {
-		return "", err
-	}
-	on, err := run(true)
+	})
 	if err != nil {
 		return "", err
 	}
@@ -113,7 +108,7 @@ func runE23(r *Runner) (string, error) {
 	// Advertised TTLs round up, so a pre-outage entry can outlive the
 	// nominal boundary by up to a second; pad the window start past it.
 	classifyStart := outStart + ttl + 2*time.Second
-	run := func(serveStale bool) (measure.ProxyServeSummary, error) {
+	off, on, err := ablation(func(serveStale bool) (measure.ProxyServeSummary, error) {
 		bp, err := resolver.NewBlueprint(resolver.UniverseConfig{
 			Seed:           r.Cfg.Seed + 130,
 			ResolverCounts: resolver.ScaledCounts(r.Cfg.WebResolvers),
@@ -144,12 +139,7 @@ func runE23(r *Runner) (string, error) {
 			return measure.ProxyServeSummary{}, err
 		}
 		return measure.MergeProxyServeSummaries(sums), nil
-	}
-	off, err := run(false)
-	if err != nil {
-		return "", err
-	}
-	on, err := run(true)
+	})
 	if err != nil {
 		return "", err
 	}
@@ -195,7 +185,7 @@ func runE24(r *Runner) (string, error) {
 	if names < 12 {
 		names = 12
 	}
-	run := func(prefetch bool) (measure.ProxyServeSummary, error) {
+	off, on, err := ablation(func(prefetch bool) (measure.ProxyServeSummary, error) {
 		bp, err := r.blueprint(140, r.Cfg.WebResolvers, func(p *resolver.Profile) {
 			p.ResponseRate = 1
 			p.CacheTTL = 5 * time.Second
@@ -216,12 +206,7 @@ func runE24(r *Runner) (string, error) {
 			return measure.ProxyServeSummary{}, err
 		}
 		return measure.MergeProxyServeSummaries(sums), nil
-	}
-	off, err := run(false)
-	if err != nil {
-		return "", err
-	}
-	on, err := run(true)
+	})
 	if err != nil {
 		return "", err
 	}
