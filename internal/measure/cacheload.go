@@ -233,8 +233,7 @@ func cacheStreamQuery(w *sim.World, client dox.Client, q *dnsmsg.Message) (time.
 		elapsed time.Duration
 		resp    *dnsmsg.Message
 	}
-	done := sim.NewFuture[outcome](w, "cache-stream-query")
-	w.Go(func() {
+	o, alive := boundedTask(w, "cache-stream-query", queryTimeout, func(done *sim.Future[outcome]) {
 		start := w.Now()
 		resp, err := client.Query(q)
 		if err != nil {
@@ -243,6 +242,5 @@ func cacheStreamQuery(w *sim.World, client dox.Client, q *dnsmsg.Message) (time.
 		}
 		done.Resolve(outcome{elapsed: w.Now() - start, resp: resp})
 	})
-	o, alive := done.WaitTimeout(queryTimeout)
 	return o.elapsed, o.resp, alive && o.elapsed >= 0
 }

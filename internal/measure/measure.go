@@ -43,7 +43,6 @@
 package measure
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/browser"
@@ -327,8 +326,7 @@ func (r *vantageRunner) measureOne(globalIdx int, res *resolver.Resolver, proto 
 // reports success and fills the sample's timing fields.
 func (r *vantageRunner) exchange(res *resolver.Resolver, proto dox.Protocol, warming bool, s *SingleQuerySample) bool {
 	w := r.u.W
-	done := sim.NewFuture[bool](w, "measure-exchange")
-	w.Go(func() {
+	ok, alive := boundedTask(w, "measure-exchange", queryTimeout, func(done *sim.Future[bool]) {
 		connStart := w.Now()
 		o := r.options(res, proto, warming)
 		c, err := dox.Connect(proto, o)
@@ -354,8 +352,17 @@ func (r *vantageRunner) exchange(res *resolver.Resolver, proto dox.Protocol, war
 		}
 		done.Resolve(true)
 	})
-	ok, alive := done.WaitTimeout(queryTimeout)
 	return alive && ok
+}
+
+// boundedTask runs body as a new task of w and waits up to timeout for
+// the value body resolves done with; ok is false on timeout. body
+// resolves done itself, so what it defers (closing a client) runs after
+// the waiter has been woken.
+func boundedTask[T any](w *sim.World, label string, timeout time.Duration, body func(done *sim.Future[T])) (v T, ok bool) {
+	done := sim.NewFuture[T](w, label)
+	w.Go(func() { body(done) })
+	return done.WaitTimeout(timeout)
 }
 
 // --- Web performance campaign ---
@@ -501,7 +508,7 @@ func runWebCombo(u *resolver.Universe, vp *resolver.Vantage, globalIdx int, res 
 }
 
 func loadWithTimeout(u *resolver.Universe, eng *browser.Engine, page *pages.Page) (browser.Result, bool) {
-	done := sim.NewFuture[browser.Result](u.W, fmt.Sprintf("webload-%s", page.Name))
-	u.W.Go(func() { done.Resolve(eng.Load(page)) })
-	return done.WaitTimeout(loadTimeout)
+	return boundedTask(u.W, "web-load", loadTimeout, func(done *sim.Future[browser.Result]) {
+		done.Resolve(eng.Load(page))
+	})
 }

@@ -444,8 +444,7 @@ func runFailoverArm(u *resolver.Universe, vp *resolver.Vantage, cfg FailoverCamp
 // forwarder's health checks ride on. The bounded-retransmit knobs keep
 // a dead upstream's cost inside the query timeout.
 func failoverQuery(u *resolver.Universe, vp *resolver.Vantage, res *resolver.Resolver, qid uint16) bool {
-	done := sim.NewFuture[bool](u.W, "failover-query")
-	u.W.Go(func() {
+	ok, alive := boundedTask(u.W, "failover-query", failoverQueryTimeout, func(done *sim.Future[bool]) {
 		c, err := dox.Connect(dox.DoUDP, dox.Options{
 			Backend:    vp.Backend,
 			Resolver:   res.Addr,
@@ -462,6 +461,5 @@ func failoverQuery(u *resolver.Universe, vp *resolver.Vantage, res *resolver.Res
 		_, err = c.Query(&q)
 		done.Resolve(err == nil)
 	})
-	ok, alive := done.WaitTimeout(failoverQueryTimeout)
 	return alive && ok
 }
