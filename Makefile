@@ -1,6 +1,6 @@
 # Convenience targets; CI runs the same commands (see .github/workflows/ci.yml).
 
-.PHONY: build test race bench bench-smoke bench-check determinism cover fuzz-smoke lint live-smoke
+.PHONY: build test race bench bench-smoke bench-check determinism cover fuzz-smoke lint live-smoke loc
 
 # staticcheck is pinned so local runs and CI agree on findings; when the
 # binary is absent (offline sandboxes), lint still runs simlint + go vet
@@ -84,3 +84,12 @@ bench-check:
 # 1 vs 8 and its campaign-level siblings, plus the golden reports.
 determinism:
 	go test -count=1 -run 'Deterministic|Golden' ./...
+
+# loc prints the non-test Go lines of each internal/ package, then the
+# non-test Go lines of the whole tree outside bench/: the size figure a
+# simplification change reports before and after.
+loc:
+	@for d in $$(find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec dirname {} \; | sort -u); do \
+		printf '%7d  %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; \
+	done
+	@printf '%7d  total outside bench/\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)

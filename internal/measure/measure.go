@@ -37,9 +37,10 @@
 // configuration only, never of the worker count.
 //
 // The single-World entry points (SingleQueryConfig.Universe,
-// WebConfig.Universe) remain for tests and examples that drive a
-// pre-built Universe directly; they are equivalent to a one-shard
-// campaign.
+// WebConfig.Universe) run on a pre-built Universe and are equivalent to
+// a one-shard campaign. They stay because TestPacketTraceIdenticalGivenSeed
+// installs a packet-trace hook on the Universe before the campaign runs,
+// and the integration tests measure a Universe they built themselves.
 package measure
 
 import (
