@@ -1,6 +1,6 @@
 // Command simlint runs the repository's analyzer suite (internal/lint):
-// six checkers that machine-enforce the determinism, pool-ownership,
-// hot-path, and layering invariants. Two modes:
+// eight checkers that machine-enforce the determinism, pool-ownership,
+// hot-path, layering and dead-API invariants. Two modes:
 //
 // Standalone multichecker (the `make lint` entry point):
 //
@@ -12,6 +12,10 @@
 //
 //	go build -o bin/simlint ./cmd/simlint
 //	go vet -vettool=$(pwd)/bin/simlint ./...
+//
+// The whole-program deadapi rule runs only in standalone mode on the
+// default ./... pattern, where it also loads the bench/ module so that
+// whatever the benchmark calls stays live; go vet runs every other rule.
 //
 // Exit status is nonzero when any finding survives //simlint:allow
 // pragmas and the layering baseline. Layering findings are ratcheted:
@@ -62,7 +66,7 @@ func standaloneMain() int {
 	flag.Parse()
 
 	if *listRules {
-		for _, a := range lint.Analyzers {
+		for _, a := range lint.Rules {
 			fmt.Printf("%s: %s\n\n", a.Name, a.Doc)
 		}
 		return 0
@@ -93,10 +97,29 @@ func standaloneMain() int {
 		fmt.Fprintln(os.Stderr, "simlint:", err)
 		return 2
 	}
-	findings, err := lint.Run(pkgs, analyzers)
+	var deadapi bool
+	perPkg := analyzers[:0:0]
+	for _, a := range analyzers {
+		if a == lint.DeadAPI {
+			deadapi = true
+		} else {
+			perPkg = append(perPkg, a)
+		}
+	}
+	findings, err := lint.Run(pkgs, perPkg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simlint:", err)
 		return 2
+	}
+	if deadapi && len(patterns) == 1 && patterns[0] == "./..." {
+		dead, err := runDeadAPI(root, pkgs)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "simlint:", err)
+			return 2
+		}
+		findings = append(findings, dead...)
+	} else if deadapi && *rulesFlag != "" {
+		fmt.Fprintln(os.Stderr, "simlint: deadapi is whole-program and runs only on ./...; skipped")
 	}
 
 	base, err := lint.ReadBaseline(baselinePath)
@@ -132,6 +155,20 @@ func standaloneMain() int {
 	return 0
 }
 
+// runDeadAPI applies the whole-program rule to the root module's
+// packages plus those of the bench/ module, when there is one.
+func runDeadAPI(root string, pkgs []*loader.Package) ([]lint.Finding, error) {
+	bench := filepath.Join(root, "bench")
+	if _, err := os.Stat(filepath.Join(bench, "go.mod")); err == nil {
+		benchPkgs, err := loader.LoadModule(bench, "./...")
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs[:len(pkgs):len(pkgs)], benchPkgs...)
+	}
+	return lint.RunDeadAPI(pkgs)
+}
+
 // printFindings emits one line per finding, with paths relative to root
 // so output is stable across checkouts.
 func printFindings(findings []lint.Finding, root string) {
@@ -157,10 +194,10 @@ func printFindings(findings []lint.Finding, root string) {
 // selectRules resolves a comma-separated -rules value against the suite.
 func selectRules(csv string) ([]*analysis.Analyzer, error) {
 	if csv == "" {
-		return lint.Analyzers, nil
+		return lint.Rules, nil
 	}
 	byName := map[string]*analysis.Analyzer{}
-	for _, a := range lint.Analyzers {
+	for _, a := range lint.Rules {
 		byName[a.Name] = a
 	}
 	var out []*analysis.Analyzer
@@ -175,8 +212,8 @@ func selectRules(csv string) ([]*analysis.Analyzer, error) {
 }
 
 func ruleNames() string {
-	names := make([]string, len(lint.Analyzers))
-	for i, a := range lint.Analyzers {
+	names := make([]string, len(lint.Rules))
+	for i, a := range lint.Rules {
 		names[i] = a.Name
 	}
 	return strings.Join(names, ", ")

@@ -39,7 +39,28 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}
+	check(t, pkgs, findings)
+}
 
+// RunDeadAPI loads the fixture packages as one whole program, with the
+// _test.go files beside them, and checks the deadapi rule's findings
+// against their want comments.
+func RunDeadAPI(t *testing.T, testdata string, pkgPaths ...string) {
+	t.Helper()
+	pkgs, err := loader.LoadTree(filepath.Join(testdata, "src"), pkgPaths...)
+	if err != nil {
+		t.Fatalf("loading fixtures: %v", err)
+	}
+	findings, err := lint.RunDeadAPI(pkgs)
+	if err != nil {
+		t.Fatalf("running deadapi: %v", err)
+	}
+	check(t, pkgs, findings)
+}
+
+// check matches findings one to one against the want comments in pkgs.
+func check(t *testing.T, pkgs []*loader.Package, findings []lint.Finding) {
+	t.Helper()
 	wants := collectWants(t, pkgs)
 	// Match findings to wants per (file, line).
 	for _, f := range findings {

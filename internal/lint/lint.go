@@ -24,7 +24,6 @@ package lint
 
 import (
 	"go/token"
-	"sort"
 
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/loader"
@@ -41,11 +40,14 @@ var Analyzers = []*analysis.Analyzer{
 	SeededRand,
 }
 
-// ruleNames holds every valid rule name for pragma validation, including
-// the pseudo-rule for pragma findings themselves.
+// Rules is every rule: the per-package Analyzers plus the whole-program
+// DeadAPI, which only the standalone driver runs.
+var Rules = append(Analyzers[:len(Analyzers):len(Analyzers)], DeadAPI)
+
+// ruleNames holds every valid rule name for pragma validation.
 var ruleNames = func() map[string]bool {
 	m := map[string]bool{}
-	for _, a := range Analyzers {
+	for _, a := range Rules {
 		m[a.Name] = true
 	}
 	return m
@@ -92,18 +94,6 @@ func Run(pkgs []*loader.Package, analyzers []*analysis.Analyzer) ([]Finding, err
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Rule < b.Rule
-	})
+	sortFindings(out)
 	return out, nil
 }

@@ -51,6 +51,14 @@ func TestLayering(t *testing.T) {
 	)
 }
 
+func TestDeadAPI(t *testing.T) {
+	analysistest.RunDeadAPI(t, "testdata",
+		"repro/internal/deadlib",
+		"repro/internal/deadpeer",
+		"repro/cmd/deaduser",
+	)
+}
+
 func TestBaselineRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "baseline.txt")
 	in := lint.Baseline{"repro/internal/quic": 12, "repro/internal/h2": 3, "repro/internal/empty": 0}
