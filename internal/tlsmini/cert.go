@@ -80,9 +80,6 @@ func (c *SessionCache) Get(serverName string, now time.Duration) *Session {
 // Put stores (replacing) the session for its server name.
 func (c *SessionCache) Put(s *Session) { c.m[s.ServerName] = s }
 
-// Forget drops the session for serverName.
-func (c *SessionCache) Forget(serverName string) { delete(c.m, serverName) }
-
 // Len reports the number of cached sessions.
 func (c *SessionCache) Len() int { return len(c.m) }
 

@@ -67,16 +67,8 @@ func hmacShort(key, p1, p2, p3 []byte) (out [hashLen]byte) {
 	return sha256.Sum256(buf[:64+hashLen])
 }
 
-// hkdfExtract implements HKDF-Extract with SHA-256.
-func hkdfExtract(salt, ikm []byte) []byte {
-	s := hkdfExtractShort(salt, ikm)
-	out := make([]byte, hashLen)
-	copy(out, s[:])
-	return out
-}
-
-// hkdfExtractShort is hkdfExtract returned by value, for callers that
-// use the pseudo-random key transiently (binder-key chains).
+// hkdfExtractShort implements HKDF-Extract with SHA-256, returned by
+// value.
 func hkdfExtractShort(salt, ikm []byte) [hashLen]byte {
 	if salt == nil {
 		salt = zeroHash[:]
@@ -126,22 +118,6 @@ func expandBlock(prk, prev []byte, label1, label2 string, context []byte, counte
 	return sha256.Sum256(buf[:64+hashLen])
 }
 
-// hkdfExpand implements HKDF-Expand with SHA-256.
-func hkdfExpand(prk []byte, info string, length int) []byte {
-	blocks := (length + hashLen - 1) / hashLen
-	out := make([]byte, 0, blocks*hashLen)
-	var block [hashLen]byte
-	var prev []byte
-	counter := byte(1)
-	for len(out) < length {
-		block = expandBlock(prk, prev, info, "", nil, counter)
-		prev = block[:]
-		out = append(out, block[:]...)
-		counter++
-	}
-	return out[:length]
-}
-
 // deriveSecret is the RFC 8446 Derive-Secret analogue: expand with a
 // label bound to a transcript hash. Output is always one hash block.
 func deriveSecret(secret []byte, label string, transcriptHash []byte) []byte {
@@ -156,10 +132,9 @@ func deriveSecretShort(secret []byte, label string, transcriptHash []byte) [hash
 	return expandBlock(secret, nil, "tls13 ", label, transcriptHash, 1)
 }
 
-// expandShort is hkdfExpand for outputs of at most one hash block,
-// returned by value: the whole computation stays on the stack. Callers
-// that only use the result transiently (finished keys, binder keys)
-// avoid hkdfExpand's per-call output allocation.
+// expandShort implements HKDF-Expand with SHA-256 for outputs of one
+// hash block, returned by value: the whole computation stays on the
+// stack. Every secret of the key schedule is at most one block long.
 func expandShort(prk []byte, info string) [hashLen]byte {
 	return expandBlock(prk, nil, info, "", nil, 1)
 }
@@ -176,35 +151,6 @@ func trafficKeys(secret []byte) (key, iv []byte) {
 	return out[:16:16], out[16:]
 }
 
-// aeadSeal encrypts plaintext with AES-128-GCM using the per-record nonce
-// built from iv and seq.
-func aeadSeal(key, iv []byte, seq uint64, plaintext, aad []byte) []byte {
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		panic(err) // key length is fixed at 16
-	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		panic(err)
-	}
-	nonce := nonceFor(iv, seq)
-	return gcm.Seal(nil, nonce[:], plaintext, aad)
-}
-
-// aeadOpen decrypts a record sealed by aeadSeal.
-func aeadOpen(key, iv []byte, seq uint64, ciphertext, aad []byte) ([]byte, error) {
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		panic(err)
-	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		panic(err)
-	}
-	nonce := nonceFor(iv, seq)
-	return gcm.Open(nil, nonce[:], ciphertext, aad)
-}
-
 func nonceFor(iv []byte, seq uint64) (nonce [12]byte) {
 	copy(nonce[:], iv)
 	var seqb [8]byte
@@ -218,9 +164,10 @@ func nonceFor(iv []byte, seq uint64) (nonce [12]byte) {
 // aeadOverhead is the GCM tag size added to every protected record.
 const aeadOverhead = 16
 
-// AEADCache memoizes the expanded AES-GCM state (and IV) for one traffic
-// secret, so per-record protection skips the two HKDF expansions and the
-// AES key schedule that aeadSeal/aeadOpen pay on every call. The cache
+// AEADCache is the AES-128-GCM record protection: it memoizes the
+// expanded AES-GCM state (and IV) for one traffic secret, so per-record
+// protection skips the two HKDF expansions and the AES key schedule. The
+// cache
 // re-derives transparently whenever the secret changes (epoch bumps),
 // producing byte-identical records. The zero value is ready to use; a
 // cache belongs to a single connection and is not safe for concurrent
@@ -248,14 +195,8 @@ func (c *AEADCache) get(secret []byte) (cipher.AEAD, []byte) {
 	return c.aead, c.iv
 }
 
-// Seal is aeadSeal with the key schedule amortized across records.
-func (c *AEADCache) Seal(secret []byte, seq uint64, plaintext, aad []byte) []byte {
-	aead, iv := c.get(secret)
-	nonce := nonceFor(iv, seq)
-	return aead.Seal(nil, nonce[:], plaintext, aad)
-}
-
-// Open is aeadOpen with the key schedule amortized across records.
+// Open decrypts and authenticates a record sealed under secret with the
+// per-record nonce built from the IV and seq.
 func (c *AEADCache) Open(secret []byte, seq uint64, ciphertext, aad []byte) ([]byte, error) {
 	aead, iv := c.get(secret)
 	nonce := nonceFor(iv, seq)
@@ -268,21 +209,6 @@ func (c *AEADCache) SealAppend(dst, secret []byte, seq uint64, plaintext, aad []
 	aead, iv := c.get(secret)
 	nonce := nonceFor(iv, seq)
 	return aead.Seal(dst, nonce[:], plaintext, aad)
-}
-
-// OpenAppend appends the plaintext to dst, reusing dst's capacity.
-func (c *AEADCache) OpenAppend(dst, secret []byte, seq uint64, ciphertext, aad []byte) ([]byte, error) {
-	aead, iv := c.get(secret)
-	nonce := nonceFor(iv, seq)
-	return aead.Open(dst, nonce[:], ciphertext, aad)
-}
-
-// hmacSum computes HMAC-SHA256(key, data).
-func hmacSum(key, data []byte) []byte {
-	s := hmacShort(key, data, nil, nil) // falls back internally on long data
-	out := make([]byte, hashLen)
-	copy(out, s[:])
-	return out
 }
 
 // hmacEqual compares MACs in constant time.

@@ -33,8 +33,6 @@ type Config struct {
 	// OfferEarlyData makes the client offer 0-RTT when it has a suitable
 	// session.
 	OfferEarlyData bool
-	// TicketLifetime defaults to DefaultTicketLifetime.
-	TicketLifetime time.Duration
 	// Rand is the deterministic randomness source (required).
 	Rand *rand.Rand
 	// Now supplies virtual time for ticket lifetimes (required when
@@ -47,13 +45,6 @@ func (c *Config) now() time.Duration {
 		return 0
 	}
 	return c.Now()
-}
-
-func (c *Config) ticketLifetime() time.Duration {
-	if c.TicketLifetime == 0 {
-		return DefaultTicketLifetime
-	}
-	return c.TicketLifetime
 }
 
 func (c *Config) maxVersion() Version {
@@ -92,10 +83,9 @@ type Engine struct {
 	secrets   [secretSlots][hashLen]byte
 	secretSet [secretSlots]bool
 
-	peerIdentityName string
-	peerCertKey      []byte       // server public key (client side)
-	clientHello      *ClientHello // server: retained for PSK/early decisions
-	err              error
+	peerCertKey []byte       // server public key (client side)
+	clientHello *ClientHello // server: retained for PSK/early decisions
+	err         error
 }
 
 // secretSlots is (number of epochs) x (two directions).
@@ -168,10 +158,6 @@ func (e *Engine) EarlyDataOffered() bool { return e.earlyOffered }
 
 // EarlyDataAccepted reports whether 0-RTT was accepted.
 func (e *Engine) EarlyDataAccepted() bool { return e.earlyAccept }
-
-// PeerName returns the server identity name (client side, after the
-// certificate or on resumption the cached name).
-func (e *Engine) PeerName() string { return e.peerIdentityName }
 
 // TrafficSecret returns the traffic secret for an epoch and direction
 // (client=true for client-to-server). It returns nil if not yet derived.
@@ -246,7 +232,6 @@ func (e *Engine) Start() ([]Message, error) {
 				ch.EarlyData = true
 				e.earlyOffered = true
 			}
-			e.peerIdentityName = s.ServerName
 		}
 	}
 	e.earlySecret = hkdfExtractShort(nil, psk)
@@ -320,7 +305,6 @@ func (e *Engine) handleClient(m Message) ([]Message, error) {
 			return nil, e.fail(fmt.Errorf("tlsmini: expected Certificate, got %d", m.Type))
 		}
 		e.hashMsg(m)
-		e.peerIdentityName = cert.Name
 		e.peerCertKey = append([]byte(nil), cert.PublicKey...)
 		e.state = stClientWaitCV
 		return nil, nil
@@ -370,7 +354,6 @@ func (e *Engine) handleClient(m Message) ([]Message, error) {
 			return nil, e.fail(fmt.Errorf("tlsmini: expected Certificate, got %d", m.Type))
 		}
 		e.hashMsg(m)
-		e.peerIdentityName = cert.Name
 		e.peerCertKey = append([]byte(nil), cert.PublicKey...)
 		e.state = stClientWaitDone12
 		return nil, nil
@@ -600,7 +583,7 @@ func (e *Engine) serverFlight12(ch *ClientHello) ([]Message, error) {
 
 func (e *Engine) issueTicket() Message {
 	nst := &NewSessionTicket{
-		LifetimeSecs:     uint32(e.cfg.ticketLifetime() / time.Second),
+		LifetimeSecs:     uint32(DefaultTicketLifetime / time.Second),
 		EarlyDataAllowed: e.cfg.AcceptEarlyData,
 	}
 	e.cfg.Rand.Read(nst.Nonce[:])
@@ -613,7 +596,7 @@ func (e *Engine) issueTicket() Message {
 		secret:    resumption,
 		alpn:      e.alpn,
 		issuedAt:  e.cfg.now(),
-		lifetime:  e.cfg.ticketLifetime(),
+		lifetime:  DefaultTicketLifetime,
 		earlyData: e.cfg.AcceptEarlyData,
 	})
 	m := Message{Type: TypeNewSessionTicket, Epoch: EpochApp, Body: nst}

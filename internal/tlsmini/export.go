@@ -4,21 +4,7 @@ package tlsmini
 // internal/quic, which performs its own packet protection with secrets
 // obtained from Engine.TrafficSecret.
 
-// DeriveTrafficKeys derives the AEAD key and IV from a traffic secret.
-func DeriveTrafficKeys(secret []byte) (key, iv []byte) { return trafficKeys(secret) }
-
-// Seal AEAD-protects plaintext with the per-record nonce built from iv
-// and seq, binding aad.
-func Seal(key, iv []byte, seq uint64, plaintext, aad []byte) []byte {
-	return aeadSeal(key, iv, seq, plaintext, aad)
-}
-
-// Open reverses Seal.
-func Open(key, iv []byte, seq uint64, ciphertext, aad []byte) ([]byte, error) {
-	return aeadOpen(key, iv, seq, ciphertext, aad)
-}
-
-// AEADOverhead is the tag size Seal appends.
+// AEADOverhead is the tag size AEADCache.SealAppend appends.
 const AEADOverhead = aeadOverhead
 
 // HMACShort computes HMAC-SHA256(key, p1||p2) entirely on the stack for

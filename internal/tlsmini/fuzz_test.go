@@ -13,7 +13,7 @@ import (
 // Trailing extension padding is regenerated rather than preserved, so
 // the fixed-point check runs on the re-encoded image, not the input.
 func FuzzDecodeMessage(f *testing.F) {
-	seed := func(m Message) { f.Add(EncodeMessage(m)) }
+	seed := func(m Message) { f.Add(AppendMessage(nil, m)) }
 	seed(Message{Type: TypeClientHello, Body: &ClientHello{
 		ServerName:        "dns.example.com",
 		ALPN:              []string{"dot", "doq"},

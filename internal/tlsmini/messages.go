@@ -145,10 +145,8 @@ type ServerHelloDone struct{}
 
 var errTruncated = errors.New("tlsmini: truncated handshake message")
 
-// EncodeMessage serializes a message as type(1) || len(3) || body.
-func EncodeMessage(m Message) []byte { return AppendMessage(nil, m) }
-
-// AppendMessage appends the serialized message to dst and returns the
+// AppendMessage appends the message, serialized as type(1) || len(3) ||
+// body, to dst and returns the
 // extended slice, reusing dst's capacity; the hot encoders (transcript
 // hashing, record flights, QUIC crypto streams) pass a per-connection
 // scratch buffer so steady-state encoding does not allocate.

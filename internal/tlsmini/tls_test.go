@@ -126,9 +126,6 @@ func TestFullHandshakeAndEcho(t *testing.T) {
 	if e.UsedResumption() {
 		t.Error("first handshake used resumption")
 	}
-	if e.PeerName() != "resolver.example" {
-		t.Errorf("peer = %q", e.PeerName())
-	}
 }
 
 func TestSessionResumption(t *testing.T) {
@@ -256,7 +253,7 @@ func TestMessageSizesRealistic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := EncodeMessage(flight[0])
+	ch := AppendMessage(nil, flight[0])
 	// Real ClientHellos are ~250-350 bytes.
 	if len(ch) < 180 || len(ch) > 420 {
 		t.Errorf("ClientHello size = %d, want 180..420", len(ch))
@@ -278,7 +275,7 @@ func TestEncodeDecodeAllMessageTypes(t *testing.T) {
 		{Type: TypeServerHelloDone, Body: &ServerHelloDone{}},
 	}
 	for _, m := range msgs {
-		enc := EncodeMessage(m)
+		enc := AppendMessage(nil, m)
 		got, n, err := DecodeMessage(enc)
 		if err != nil {
 			t.Fatalf("%d: %v", m.Type, err)
@@ -294,7 +291,7 @@ func TestEncodeDecodeAllMessageTypes(t *testing.T) {
 
 func TestDecodeTruncatedMessages(t *testing.T) {
 	m := Message{Type: TypeServerHello, Body: &ServerHello{Version: VersionTLS13}}
-	enc := EncodeMessage(m)
+	enc := AppendMessage(nil, m)
 	for i := 0; i < len(enc); i++ {
 		if _, _, err := DecodeMessage(enc[:i]); err == nil {
 			t.Fatalf("truncation at %d accepted", i)
@@ -303,34 +300,54 @@ func TestDecodeTruncatedMessages(t *testing.T) {
 }
 
 func TestHKDFDeterministic(t *testing.T) {
-	a := hkdfExpand(hkdfExtract([]byte("salt"), []byte("ikm")), "info", 32)
-	b := hkdfExpand(hkdfExtract([]byte("salt"), []byte("ikm")), "info", 32)
-	if !bytes.Equal(a, b) {
+	prk := hkdfExtractShort([]byte("salt"), []byte("ikm"))
+	a := expandShort(prk[:], "info")
+	if b := expandShort(prk[:], "info"); a != b {
 		t.Error("HKDF not deterministic")
 	}
-	c := hkdfExpand(hkdfExtract([]byte("salt"), []byte("ikm")), "other", 32)
-	if bytes.Equal(a, c) {
+	if c := expandShort(prk[:], "other"); a == c {
 		t.Error("different labels produced identical output")
 	}
-	if len(hkdfExpand(a, "x", 100)) != 100 {
-		t.Error("expand length mismatch")
+	if other := hkdfExtractShort([]byte("pepper"), []byte("ikm")); other == prk {
+		t.Error("different salts produced identical keys")
 	}
 }
 
 func TestAEADRoundTripAndTamper(t *testing.T) {
-	key := make([]byte, 16)
-	iv := make([]byte, 12)
-	ct := aeadSeal(key, iv, 1, []byte("secret"), []byte("aad"))
-	pt, err := aeadOpen(key, iv, 1, ct, []byte("aad"))
+	secret := bytes.Repeat([]byte{7}, hashLen)
+	aad := []byte("aad")
+	var c AEADCache
+	ct := c.SealAppend(nil, secret, 1, []byte("secret"), aad)
+	if len(ct) != len("secret")+AEADOverhead {
+		t.Fatalf("sealed %d bytes, want %d", len(ct), len("secret")+AEADOverhead)
+	}
+	pt, err := c.Open(secret, 1, ct, aad)
 	if err != nil || !bytes.Equal(pt, []byte("secret")) {
 		t.Fatalf("round trip failed: %v", err)
 	}
-	if _, err := aeadOpen(key, iv, 2, ct, []byte("aad")); err == nil {
+	if _, err := c.Open(secret, 2, ct, aad); err == nil {
 		t.Error("wrong sequence accepted")
 	}
-	ct[0] ^= 1
-	if _, err := aeadOpen(key, iv, 1, ct, []byte("aad")); err == nil {
+	tampered := append([]byte(nil), ct...)
+	tampered[0] ^= 1
+	if _, err := c.Open(secret, 1, tampered, aad); err == nil {
 		t.Error("tampered ciphertext accepted")
+	}
+
+	// A new secret (an epoch bump) must re-derive the key: the cache's
+	// output then matches a fresh cache's, and the old record no longer
+	// opens under the new secret.
+	next := bytes.Repeat([]byte{9}, hashLen)
+	var fresh AEADCache
+	got := c.SealAppend(nil, next, 1, []byte("secret"), aad)
+	if want := fresh.SealAppend(nil, next, 1, []byte("secret"), aad); !bytes.Equal(got, want) {
+		t.Error("re-derived key seals differently from a fresh cache")
+	}
+	if bytes.Equal(got, ct) {
+		t.Error("secret change did not change the key")
+	}
+	if _, err := c.Open(next, 1, ct, aad); err == nil {
+		t.Error("record sealed under the old secret opened under the new one")
 	}
 }
 
