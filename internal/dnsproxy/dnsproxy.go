@@ -47,6 +47,12 @@ import (
 	"repro/internal/tlsmini"
 )
 
+// prefetchIdle bounds how long a prefetch refresh chain outlives client
+// demand: once no client query for the name has arrived within this
+// window, the next scheduled refresh lapses instead of firing. Without
+// the horizon a once-hot name would be refreshed forever.
+const prefetchIdle = 30 * time.Second
+
 // Config parameterizes a proxy instance.
 type Config struct {
 	// Upstream transport and resolver.
@@ -59,9 +65,6 @@ type Config struct {
 	// FixDoTReuse applies the authors' upstream fix for the in-flight
 	// connection bug. Default false: reproduce the paper's behaviour.
 	FixDoTReuse bool
-
-	// Use0RTT makes resumed upstream sessions attempt 0-RTT (E11).
-	Use0RTT bool
 
 	// StubCache enables a client-side TTL-aware answer cache: queries
 	// for names the proxy has seen (within TTL) are answered locally
@@ -97,15 +100,6 @@ type Config struct {
 	// PrefetchLead is how long before expiry the refresh fires (default
 	// 1s, clamped below the answer TTL).
 	PrefetchLead time.Duration
-	// PrefetchCapacity bounds the hotness tracker's slot table
-	// (default cache.DefaultHotnessCapacity).
-	PrefetchCapacity int
-	// PrefetchIdle bounds how long the refresh chain outlives client
-	// demand: once no client query for the name has arrived within this
-	// window, the next scheduled refresh lapses instead of firing
-	// (default 30s). Without the horizon a once-hot name would be
-	// refreshed forever.
-	PrefetchIdle time.Duration
 
 	// RateLimitQPS enables per-client token-bucket rate limiting:
 	// clients exceeding this sustained rate get REFUSED responses.
@@ -213,9 +207,6 @@ func New(be netapi.Backend, cfg Config) (*Proxy, error) {
 	if cfg.PrefetchLead == 0 {
 		cfg.PrefetchLead = time.Second
 	}
-	if cfg.PrefetchIdle == 0 {
-		cfg.PrefetchIdle = 30 * time.Second
-	}
 	if cfg.RateLimitBurst == 0 {
 		cfg.RateLimitBurst = 4
 	}
@@ -246,7 +237,7 @@ func New(be netapi.Backend, cfg Config) (*Proxy, error) {
 		p.inflight = make(map[cache.Key]*flight)
 	}
 	if cfg.Prefetch {
-		p.hot = cache.NewHotness(cfg.PrefetchCapacity)
+		p.hot = cache.NewHotness(cache.DefaultHotnessCapacity)
 		p.prefetchOn = make(map[cache.Key]bool)
 		p.lastSeen = make(map[cache.Key]time.Duration)
 	}
@@ -266,15 +257,6 @@ func New(be netapi.Backend, cfg Config) (*Proxy, error) {
 
 // Addr returns the local address Chromium's stub should query.
 func (p *Proxy) Addr() netip.AddrPort { return p.sock.LocalAddr() }
-
-// StubCacheStats returns the stub cache's counters (zero without a stub
-// cache).
-func (p *Proxy) StubCacheStats() cache.Stats {
-	if p.stub == nil {
-		return cache.Stats{}
-	}
-	return p.stub.Stats()
-}
 
 func (p *Proxy) serve() {
 	for {
@@ -576,7 +558,7 @@ func (p *Proxy) prefetch(key cache.Key) {
 	if p.closed {
 		return
 	}
-	if !p.hot.Hot(key, p.cfg.PrefetchMinHits) || p.be.Now()-p.lastSeen[key] > p.cfg.PrefetchIdle {
+	if !p.hot.Hot(key, p.cfg.PrefetchMinHits) || p.be.Now()-p.lastSeen[key] > prefetchIdle {
 		delete(p.lastSeen, key)
 		return
 	}
@@ -647,9 +629,6 @@ func (p *Proxy) connect() (dox.Client, error) {
 	o.SessionCache = p.sessions
 	if p.quicUpstream() {
 		p.quicSess.Apply(o.Resolver, &o)
-		if p.cfg.Use0RTT {
-			o.OfferEarlyData = true
-		}
 	}
 	c, err := dox.Connect(p.cfg.Upstream, o)
 	if err != nil {
@@ -717,15 +696,6 @@ func (p *Proxy) MigrateUpstream() (migrated bool, err error) {
 	}
 	p.ResetSessions()
 	return false, nil
-}
-
-// UpstreamMetrics exposes the current upstream session's metrics (nil
-// before the first query).
-func (p *Proxy) UpstreamMetrics() *dox.Metrics {
-	if p.primary == nil {
-		return nil
-	}
-	return p.primary.Metrics()
 }
 
 // Close stops the proxy.

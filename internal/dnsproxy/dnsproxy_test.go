@@ -121,7 +121,7 @@ func TestResetSessionsKeepsResumptionState(t *testing.T) {
 			t.Error("post-reset query failed")
 			return
 		}
-		second = p.UpstreamMetrics()
+		second = p.primary.Metrics()
 	})
 	u.W.Run()
 	if second == nil {
