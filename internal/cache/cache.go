@@ -116,9 +116,6 @@ func (c *Cache) SetStaleCeiling(d time.Duration) {
 	c.stale = d
 }
 
-// StaleCeiling returns the configured serve-stale ceiling (0 = off).
-func (c *Cache) StaleCeiling() time.Duration { return c.stale }
-
 // Len returns the number of live-or-expired entries currently held
 // (expired entries are reaped lazily by Lookup).
 func (c *Cache) Len() int { return c.lru.Len() }
@@ -263,30 +260,6 @@ func (c *Cache) AnswerFor(q *dnsmsg.Message) (addr netip.Addr, ttl uint32, ok bo
 // expiry, per RFC 8767 §4's recommendation to cap stale TTLs at 30
 // seconds so downstream caches re-ask promptly.
 const StaleAdvertTTL = 30 * time.Second
-
-// AnswerQueryStale builds a response for q from a fresh-or-stale entry
-// (LookupStale), or nil when none survives. Stale answers advertise
-// StaleAdvertTTL; fresh ones their true remaining lifetime.
-func (c *Cache) AnswerQueryStale(q *dnsmsg.Message) *dnsmsg.Message {
-	if len(q.Questions) == 0 {
-		return nil
-	}
-	qu := q.Questions[0]
-	if qu.Type != dnsmsg.TypeA {
-		return nil
-	}
-	ent, ok := c.LookupStale(Key{Name: qu.Name, Type: qu.Type})
-	if !ok {
-		return nil
-	}
-	ttl := StaleAdvertTTL
-	if rem := ent.Remaining(c.now()); rem > 0 {
-		ttl = rem
-	}
-	resp := dnsmsg.Reply(*q)
-	resp.AnswerA(ent.Addr, TTLSeconds(ttl))
-	return &resp
-}
 
 // StoreResponse caches the first A answer of an upstream response,
 // honouring its TTL. Non-success responses and answerless replies are

@@ -172,27 +172,6 @@ func TestStaleCeilingInteraction(t *testing.T) {
 	}
 }
 
-// TestStaleAnswerTTLCap checks AnswerQueryStale advertises the RFC 8767
-// capped TTL on stale answers and the true remaining TTL on fresh ones.
-func TestStaleAnswerTTLCap(t *testing.T) {
-	cl := &clock{}
-	c := New(cl.now, 0)
-	c.SetStaleCeiling(time.Hour)
-	q := dnsmsg.NewQuery(1, "n0.example", dnsmsg.TypeA)
-	c.Put(key(0), addr, 100*time.Second)
-
-	cl.t = 40 * time.Second
-	resp := c.AnswerQueryStale(&q)
-	if resp == nil || resp.Answers[0].TTL != 60 {
-		t.Fatalf("fresh answer TTL: %+v", resp)
-	}
-	cl.t = 200 * time.Second
-	resp = c.AnswerQueryStale(&q)
-	if resp == nil || resp.Answers[0].TTL != uint32(StaleAdvertTTL/time.Second) {
-		t.Fatalf("stale answer TTL not capped: %+v", resp)
-	}
-}
-
 // TestHotnessTopKSurvivesChurn checks the space-saving property the
 // prefetcher depends on: a key whose true frequency exceeds the N/k
 // error bound (N touches over k slots) stays tracked with at least its

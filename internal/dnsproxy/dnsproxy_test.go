@@ -244,6 +244,40 @@ func TestCoalescingSharesUpstreamExchange(t *testing.T) {
 	}
 }
 
+// TestStaleAnswerTTLCap checks the TTLs the proxy advertises from its
+// stub cache: a fresh hit carries the entry's true remaining lifetime,
+// and an answer served stale during an outage advertises the RFC 8767
+// §4 cap, cache.StaleAdvertTTL, rather than the lapsed entry's own TTL.
+func TestStaleAnswerTTLCap(t *testing.T) {
+	u, p := outageSetup(t, func(c *Config) {
+		c.ServeStale = true
+		c.StaleTTL = 5 * time.Minute
+	})
+	var fresh, stale *dnsmsg.Message
+	u.W.Go(func() {
+		if _, ok := stubQuery(u, p.Addr(), 1, "n0.example", 5*time.Second); !ok {
+			t.Error("warm query failed")
+			return
+		}
+		// 2s into the upstream's 5s TTL: a fresh stub-cache hit.
+		u.W.Sleep(2 * time.Second)
+		fresh, _ = stubQuery(u, p.Addr(), 2, "n0.example", 5*time.Second)
+		// 20s: mid-outage, the entry expired 15s ago.
+		u.W.Sleep(20*time.Second - u.W.Now())
+		stale, _ = stubQuery(u, p.Addr(), 3, "n0.example", 5*time.Second)
+	})
+	u.W.Run()
+	if fresh == nil || len(fresh.Answers) == 0 || fresh.Answers[0].TTL != 3 {
+		t.Fatalf("fresh answer should advertise its remaining 3s: %+v", fresh)
+	}
+	if stale == nil || len(stale.Answers) == 0 || stale.Answers[0].TTL != uint32(cache.StaleAdvertTTL/time.Second) {
+		t.Fatalf("stale answer TTL not capped at %v: %+v", cache.StaleAdvertTTL, stale)
+	}
+	if p.StubHits != 1 || p.StaleServed != 1 {
+		t.Errorf("StubHits = %d, StaleServed = %d; want 1 and 1", p.StubHits, p.StaleServed)
+	}
+}
+
 // outageSetup builds a universe whose single resolver answers every
 // query with a 5s TTL and goes unreachable during [10s, 40s).
 func outageSetup(t *testing.T, mut func(*Config)) (*resolver.Universe, *Proxy) {
