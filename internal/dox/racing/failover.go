@@ -7,7 +7,9 @@ import (
 	"repro/internal/netapi"
 )
 
-// Defaults for the zero FailoverConfig fields.
+// Defaults for the zero FailoverConfig fields, and the ejection
+// cooldown: DefaultCooldownBase for the first ejection, doubling per
+// consecutive ejection up to DefaultCooldownMax.
 const (
 	DefaultEjectAfter   = 3
 	DefaultCooldownBase = 2 * time.Second
@@ -20,11 +22,6 @@ type FailoverConfig struct {
 	// EjectAfter is how many consecutive failures eject an upstream
 	// (default DefaultEjectAfter).
 	EjectAfter int
-	// CooldownBase is the first ejection's cooldown; it doubles per
-	// consecutive ejection up to CooldownMax (defaults
-	// DefaultCooldownBase, DefaultCooldownMax).
-	CooldownBase time.Duration
-	CooldownMax  time.Duration
 	// JitterFrac spreads each cooldown by ±JitterFrac (default
 	// DefaultJitterFrac), drawn from the runtime's seeded random
 	// stream — deterministic on the sim backend. Negative disables
@@ -36,12 +33,6 @@ func (c *FailoverConfig) withDefaults() FailoverConfig {
 	v := *c
 	if v.EjectAfter == 0 {
 		v.EjectAfter = DefaultEjectAfter
-	}
-	if v.CooldownBase == 0 {
-		v.CooldownBase = DefaultCooldownBase
-	}
-	if v.CooldownMax == 0 {
-		v.CooldownMax = DefaultCooldownMax
 	}
 	if v.JitterFrac == 0 {
 		v.JitterFrac = DefaultJitterFrac
@@ -127,9 +118,9 @@ func (f *Failover) Report(i int, ok bool) {
 		return
 	}
 	u.consecutive = 0
-	cooldown := f.cfg.CooldownBase << u.ejections
-	if cooldown > f.cfg.CooldownMax || cooldown <= 0 {
-		cooldown = f.cfg.CooldownMax
+	cooldown := DefaultCooldownBase << u.ejections
+	if cooldown > DefaultCooldownMax || cooldown <= 0 {
+		cooldown = DefaultCooldownMax
 	}
 	if u.ejections < 62 { // keep the shift defined
 		u.ejections++
@@ -140,11 +131,4 @@ func (f *Failover) Report(i int, ok bool) {
 		cooldown = time.Duration(float64(cooldown) * spread)
 	}
 	u.ejectedUntil = f.rt.Now() + cooldown
-}
-
-// Ejected reports whether upstream i is currently ejected.
-func (f *Failover) Ejected(i int) bool {
-	f.lock.Lock()
-	defer f.lock.Unlock()
-	return f.rt.Now() < f.st[i].ejectedUntil
 }

@@ -14,10 +14,11 @@
 // address families to DNS transports):
 //
 //   - The ladder's first rung starts immediately; each later rung
-//     starts Stagger after the one before it, unless a winner has
-//     already been declared.
+//     starts DefaultStagger after the one before it, unless a winner
+//     has already been declared.
 //   - Each rung attempt (connect + query) runs under a budget that
-//     starts at AttemptTimeout and doubles per retry up to BackoffMax.
+//     starts at DefaultAttemptTimeout and doubles per retry up to
+//     DefaultBackoffMax; a rung gets one retry per race.
 //   - The first rung to complete a query wins; every other attempt is
 //     cancelled — attempts that already hold a session close it, and
 //     attempts still blocked in a handshake are abandoned (they close
@@ -51,12 +52,20 @@ func DefaultLadder() []dox.Protocol {
 	return []dox.Protocol{dox.DoQ, dox.DoH3, dox.DoT, dox.DoH, dox.DoUDP}
 }
 
-// Defaults for the zero Config fields.
+// Race timing. DefaultStagger is the head start each rung gets over the
+// next one (RFC 8305's connection attempt delay); DefaultAttemptTimeout
+// is the first connect+query budget of each rung, doubling per retry up
+// to DefaultBackoffMax; DefaultReprobeInterval is the default
+// Config.ReprobeInterval.
 const (
 	DefaultStagger         = 250 * time.Millisecond
 	DefaultAttemptTimeout  = 2 * time.Second
 	DefaultBackoffMax      = 8 * time.Second
 	DefaultReprobeInterval = 60 * time.Second
+
+	// retries is how many extra attempts each rung gets within one
+	// race after its first budget expires.
+	retries = 1
 )
 
 // Config parameterizes a racing stub.
@@ -65,20 +74,6 @@ type Config struct {
 	// Resolver, TLS). Backend is required; it supplies the runtime the
 	// race is scheduled on.
 	Options dox.Options
-	// Ladder is the transport preference order (default DefaultLadder).
-	Ladder []dox.Protocol
-	// Stagger is the head start each rung gets over the next one
-	// (default DefaultStagger). RFC 8305 calls this the connection
-	// attempt delay.
-	Stagger time.Duration
-	// AttemptTimeout is the first connect+query budget of each rung;
-	// the budget doubles per retry up to BackoffMax (defaults
-	// DefaultAttemptTimeout, DefaultBackoffMax).
-	AttemptTimeout time.Duration
-	BackoffMax     time.Duration
-	// Retries is how many extra attempts each rung gets within one race
-	// after its first budget expires (default 1).
-	Retries int
 	// ReprobeInterval is how often a sticky winner below the top of the
 	// ladder is re-raced against the more-preferred rungs (default
 	// DefaultReprobeInterval). Negative disables re-probing.
@@ -87,21 +82,6 @@ type Config struct {
 
 func (c *Config) withDefaults() Config {
 	v := *c
-	if len(v.Ladder) == 0 {
-		v.Ladder = DefaultLadder()
-	}
-	if v.Stagger == 0 {
-		v.Stagger = DefaultStagger
-	}
-	if v.AttemptTimeout == 0 {
-		v.AttemptTimeout = DefaultAttemptTimeout
-	}
-	if v.BackoffMax == 0 {
-		v.BackoffMax = DefaultBackoffMax
-	}
-	if v.Retries == 0 {
-		v.Retries = 1
-	}
 	if v.ReprobeInterval == 0 {
 		v.ReprobeInterval = DefaultReprobeInterval
 	}
@@ -121,8 +101,9 @@ type Metrics struct {
 // Stub is a racing resolver client. Campaign code drives one stub per
 // vantage task; Resolve is not reentrant.
 type Stub struct {
-	cfg Config
-	rt  netapi.Runtime
+	cfg    Config
+	rt     netapi.Runtime
+	ladder []dox.Protocol // DefaultLadder
 
 	lock      sync.Locker
 	sticky    int // ladder index of the current winner; -1 = none
@@ -137,6 +118,7 @@ func New(cfg Config) *Stub {
 	return &Stub{
 		cfg:    v,
 		rt:     v.Options.Backend,
+		ladder: DefaultLadder(),
 		lock:   v.Options.Backend.NewLock(),
 		sticky: -1,
 	}
@@ -144,14 +126,6 @@ func New(cfg Config) *Stub {
 
 // Metrics returns a snapshot of the stub's counters.
 func (s *Stub) Metrics() Metrics { return s.metrics }
-
-// Sticky reports the current sticky transport, if any.
-func (s *Stub) Sticky() (dox.Protocol, bool) {
-	if s.sticky < 0 {
-		return 0, false
-	}
-	return s.cfg.Ladder[s.sticky], true
-}
 
 // Close releases the sticky session.
 func (s *Stub) Close() {
@@ -178,12 +152,12 @@ func (s *Stub) Resolve(q *dnsmsg.Message) (*dnsmsg.Message, dox.Protocol, error)
 	s.lock.Unlock()
 
 	if c != nil && !reprobe {
-		out := s.attempt(s.cfg.Ladder[idx], c, q, s.cfg.AttemptTimeout)
+		out := s.attempt(s.ladder[idx], c, q, DefaultAttemptTimeout)
 		if out.err == nil {
 			s.lock.Lock()
 			s.metrics.Sticky++
 			s.lock.Unlock()
-			return out.resp, s.cfg.Ladder[idx], nil
+			return out.resp, s.ladder[idx], nil
 		}
 		// The sticky session went dark (middlebox arrived, resolver
 		// rebooted): drop it and fall back to a full race.
@@ -399,10 +373,10 @@ func (st *raceState) runRung(idx int) {
 	if st.isDecided() {
 		return
 	}
-	proto := s.cfg.Ladder[idx]
-	budget := s.cfg.AttemptTimeout
+	proto := s.ladder[idx]
+	budget := DefaultAttemptTimeout
 	client := st.takeSeed(idx)
-	for try := 0; try <= s.cfg.Retries; try++ {
+	for try := 0; try <= retries; try++ {
 		out := s.attempt(proto, client, st.q, budget)
 		client = nil // a reused session is spent after its first attempt
 		if out.err == nil {
@@ -425,10 +399,10 @@ func (st *raceState) runRung(idx int) {
 		// timeouts past the stagger horizon this is a no-op.
 		st.advance()
 		// Exponential per-rung backoff: the next attempt gets a doubled
-		// budget, capped at BackoffMax.
+		// budget, capped at DefaultBackoffMax.
 		budget *= 2
-		if budget > s.cfg.BackoffMax {
-			budget = s.cfg.BackoffMax
+		if budget > DefaultBackoffMax {
+			budget = DefaultBackoffMax
 		}
 	}
 }
@@ -443,21 +417,21 @@ func (s *Stub) race(q *dnsmsg.Message, seed dox.Client, seedIdx int) (*dnsmsg.Me
 		q:       q,
 		lock:    s.rt.NewLock(),
 		winner:  netapi.NewFuture[attemptOut](s.rt, "racing-winner"),
-		pending: len(s.cfg.Ladder),
-		started: make([]bool, len(s.cfg.Ladder)),
+		pending: len(s.ladder),
+		started: make([]bool, len(s.ladder)),
 		seedC:   seed,
 		seedIdx: seedIdx,
 	}
 	s.lock.Lock()
 	s.metrics.Races++
 	s.lock.Unlock()
-	for i := range s.cfg.Ladder {
+	for i := range s.ladder {
 		b := &rungBox{st: st, idx: i}
 		if i == 0 {
 			s.rt.GoCall(runRung, b)
 			continue
 		}
-		s.rt.AfterFunc(time.Duration(i)*s.cfg.Stagger, func() { runRung(b) })
+		s.rt.AfterFunc(time.Duration(i)*DefaultStagger, func() { runRung(b) })
 	}
 	out, ok := st.winner.Wait()
 	// If the race ended before the seeded rung ever ran, the seed
@@ -475,5 +449,5 @@ func (s *Stub) race(q *dnsmsg.Message, seed dox.Client, seedIdx int) (*dnsmsg.Me
 	s.stickyC = out.client
 	s.lastProbe = now
 	s.lock.Unlock()
-	return out.resp, s.cfg.Ladder[st.winIdx], nil
+	return out.resp, s.ladder[st.winIdx], nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dnsmsg"
 	"repro/internal/dox"
+	"repro/internal/netapi"
 	"repro/internal/netapi/simnet"
 	"repro/internal/netem"
 	"repro/internal/sim"
@@ -182,8 +183,15 @@ func TestReprobeClimbsBackAfterBlockLifts(t *testing.T) {
 		if proto != dox.DoQ {
 			t.Errorf("re-probe winner = %v, want DoQ after block lifted", proto)
 		}
-		if sticky, ok := s.Sticky(); !ok || sticky != dox.DoQ {
-			t.Errorf("sticky = %v/%v, want DoQ", sticky, ok)
+		// DoQ is now the sticky session: the next resolve reuses it
+		// without racing.
+		before := s.Metrics()
+		q3 := dnsmsg.NewQuery(22, "example.com", dnsmsg.TypeA)
+		if _, proto, err = s.Resolve(&q3); err != nil || proto != dox.DoQ {
+			t.Errorf("sticky resolve = %v, %v; want DoQ", proto, err)
+		}
+		if after := s.Metrics(); after.Sticky != before.Sticky+1 || after.Races != before.Races {
+			t.Errorf("resolve after re-probe was not served by the sticky DoQ session: %+v -> %+v", before, after)
 		}
 		s.Close()
 	})
@@ -212,6 +220,11 @@ func TestRaceFailsWhenEverythingBlocked(t *testing.T) {
 	e.w.Run()
 }
 
+// ejected reports whether upstream i is inside an ejection cooldown.
+func ejected(rt netapi.Runtime, f *Failover, i int) bool {
+	return rt.Now() < f.st[i].ejectedUntil
+}
+
 func TestFailoverEjectsAndReadmits(t *testing.T) {
 	w := sim.NewWorld(6)
 	rt := simnet.NewRuntime(w, rand.New(rand.NewSource(6)))
@@ -230,7 +243,7 @@ func TestFailoverEjectsAndReadmits(t *testing.T) {
 		if got := f.Pick(); got != 1 {
 			t.Fatalf("pick after ejection = %d, want 1", got)
 		}
-		if !f.Ejected(0) {
+		if !ejected(rt, f, 0) {
 			t.Fatal("upstream 0 not marked ejected")
 		}
 		// After the cooldown (2s base, ±10% jitter) the preferred
@@ -241,7 +254,7 @@ func TestFailoverEjectsAndReadmits(t *testing.T) {
 		}
 		// A success clears the record entirely.
 		f.Report(0, true)
-		if f.Ejected(0) {
+		if ejected(rt, f, 0) {
 			t.Fatal("upstream 0 still ejected after success")
 		}
 	})
@@ -272,7 +285,7 @@ func TestFailoverProbationReejectsOnOneFailure(t *testing.T) {
 		f.Report(0, false)
 		f.Report(0, false)
 		f.Report(0, false)
-		if !f.Ejected(0) {
+		if !ejected(rt, f, 0) {
 			t.Fatal("upstream 0 not ejected at threshold")
 		}
 		rt.Sleep(3 * time.Second)
@@ -281,7 +294,7 @@ func TestFailoverProbationReejectsOnOneFailure(t *testing.T) {
 		}
 		// On probation, a single failed probe re-ejects immediately.
 		f.Report(0, false)
-		if !f.Ejected(0) {
+		if !ejected(rt, f, 0) {
 			t.Fatal("probation failure did not re-eject")
 		}
 		// And a probe that succeeds clears probation: the next failure
@@ -289,7 +302,7 @@ func TestFailoverProbationReejectsOnOneFailure(t *testing.T) {
 		rt.Sleep(5 * time.Second)
 		f.Report(0, true)
 		f.Report(0, false)
-		if f.Ejected(0) {
+		if ejected(rt, f, 0) {
 			t.Fatal("single failure after recovery ejected a healthy upstream")
 		}
 	})
