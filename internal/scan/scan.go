@@ -340,22 +340,6 @@ func BuildTargets(net *netem.Network, seed int64, plans []TargetPlan, lo, hi int
 	return targets, nil
 }
 
-// BuildPopulation creates and starts every target host on net — the
-// single-World convenience path. Targets are deliberately lightweight
-// resolvers (static answer, no recursion). Sharded scans plan once and
-// build per-shard blocks via RunFunnel.
-func BuildPopulation(net *netem.Network, rng *rand.Rand, spec PopulationSpec) (*Population, error) {
-	plans, err := PlanPopulation(rng, spec)
-	if err != nil {
-		return nil, err
-	}
-	targets, err := BuildTargets(net, rng.Int63(), plans, 0, len(plans))
-	if err != nil {
-		return nil, err
-	}
-	return &Population{Targets: targets, Spec: spec}, nil
-}
-
 func scaledGeoCounts(n int) map[geo.Continent]int {
 	out := map[geo.Continent]int{}
 	for c, v := range geo.VerifiedResolverCounts {
@@ -389,12 +373,14 @@ type FunnelConfig struct {
 	// TargetBlock is the shard granularity in targets (default 256).
 	// Part of the shard plan (changing it changes shard seeds).
 	TargetBlock int
-	// PathDelay is the uniform probe path delay (default 40ms, no loss —
-	// the funnel must be exact).
-	PathDelay time.Duration
-	// ProbeTimeout bounds each probe (default 2s).
-	ProbeTimeout time.Duration
 }
+
+// Probe timing: every probe path has a uniform delay and no loss (the
+// funnel must be exact), and each probe is bounded by probeTimeout.
+const (
+	probePathDelay = 40 * time.Millisecond
+	probeTimeout   = 2 * time.Second
+)
 
 // RunFunnel executes the discovery scan as a sharded campaign: the
 // population is planned once (a pure function of Seed and Spec), split
@@ -405,9 +391,6 @@ type FunnelConfig struct {
 func RunFunnel(cfg FunnelConfig) (FunnelResult, error) {
 	if cfg.TargetBlock == 0 {
 		cfg.TargetBlock = 256
-	}
-	if cfg.PathDelay == 0 {
-		cfg.PathDelay = 40 * time.Millisecond
 	}
 	planRng := rand.New(rand.NewSource(sim.DeriveSeed(cfg.Seed, 0x5CA4)))
 	plans, err := PlanPopulation(planRng, cfg.Spec)
@@ -420,15 +403,14 @@ func RunFunnel(cfg FunnelConfig) (FunnelResult, error) {
 		blk := blocks[s.Index]
 		w := sim.NewWorld(s.Seed)
 		net := netem.NewNetwork(w)
-		net.SetDefaultPath(netem.PathParams{Delay: cfg.PathDelay})
+		net.SetDefaultPath(netem.PathParams{Delay: probePathDelay})
 		targets, err := BuildTargets(net, identitySeed, plans, blk.Lo, blk.Hi)
 		if err != nil {
 			return FunnelResult{}, err
 		}
 		scanner := &Scanner{
-			Host:         net.Host(netip.AddrFrom4([4]byte{10, 99, 0, 1})),
-			Rand:         rand.New(rand.NewSource(sim.DeriveSeed(s.Seed, 0x5C))),
-			ProbeTimeout: cfg.ProbeTimeout,
+			Host: net.Host(netip.AddrFrom4([4]byte{10, 99, 0, 1})),
+			Rand: rand.New(rand.NewSource(sim.DeriveSeed(s.Seed, 0x5C))),
 		}
 		var res FunnelResult
 		w.Go(func() { res = scanner.Run(&Population{Targets: targets, Spec: cfg.Spec}) })
@@ -467,15 +449,6 @@ func RunFunnel(cfg FunnelConfig) (FunnelResult, error) {
 type Scanner struct {
 	Host *netem.Host
 	Rand *rand.Rand
-	// ProbeTimeout bounds each probe (default 2s).
-	ProbeTimeout time.Duration
-}
-
-func (s *Scanner) timeout() time.Duration {
-	if s.ProbeTimeout == 0 {
-		return 2 * time.Second
-	}
-	return s.ProbeTimeout
 }
 
 // Run scans all targets (in parallel, ZMap style) and builds the funnel.
@@ -531,7 +504,7 @@ func (s *Scanner) probeQUIC(tgt *Target) (uint16, bool) {
 		sock := s.Host.Dial(netem.ProtoUDP, 8)
 		probe := buildVersionProbe(s.Rand)
 		sock.Send(netip.AddrPortFrom(tgt.Addr, port), probe)
-		d, ok := sock.RecvTimeout(s.timeout())
+		d, ok := sock.RecvTimeout(probeTimeout)
 		sock.Close()
 		if !ok {
 			continue
@@ -582,7 +555,7 @@ func (s *Scanner) verifyDoQ(tgt *Target, port uint16) bool {
 		conn.Close()
 		f.Resolve(result{true})
 	})
-	r, ok := f.WaitTimeout(s.timeout())
+	r, ok := f.WaitTimeout(probeTimeout)
 	return ok && r.ok
 }
 
@@ -597,7 +570,7 @@ func (s *Scanner) checkDoX(tgt *Target, proto dox.Protocol) bool {
 			Backend:    simnet.New(s.Host, s.Rand),
 			Resolver:   tgt.Addr,
 			ServerName: tgt.Addr.String(),
-			UDPTimeout: s.timeout(),
+			UDPTimeout: probeTimeout,
 		})
 		if err != nil {
 			f.Resolve(result{false})
@@ -608,6 +581,6 @@ func (s *Scanner) checkDoX(tgt *Target, proto dox.Protocol) bool {
 		c.Close()
 		f.Resolve(result{err == nil})
 	})
-	r, ok := f.WaitTimeout(10 * s.timeout())
+	r, ok := f.WaitTimeout(10 * probeTimeout)
 	return ok && r.ok
 }

@@ -113,10 +113,15 @@ func TestFunnelSmallPopulation(t *testing.T) {
 	net.SetDefaultPath(netem.PathParams{Delay: 20 * time.Millisecond})
 	rng := rand.New(rand.NewSource(9))
 	spec := PaperSpec().Scaled(16)
-	pop, err := BuildPopulation(net, rng, spec)
+	plans, err := PlanPopulation(rng, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	targets, err := BuildTargets(net, rng.Int63(), plans, 0, len(plans))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pop := &Population{Targets: targets, Spec: spec}
 	scanner := &Scanner{
 		Host: net.Host(netip.MustParseAddr("10.9.0.1")),
 		Rand: rng,
