@@ -20,13 +20,6 @@ const (
 	sketchBuckets    = (sketchMaxExp - sketchMinExp) * sketchSubBuckets
 )
 
-// SketchRelError bounds the relative error of Sketch.Quantile for
-// positive samples: a bucket spans a 2^(1/32) ratio and the reported
-// value is its geometric midpoint, so no in-range sample is misreported
-// by more than half a bucket (~1.1%); callers should allow this much
-// slack when comparing against exact order statistics.
-const SketchRelError = 0.011
-
 // Sketch is a bounded-memory streaming quantile summary: a log-bucketed
 // histogram in the spirit of HDR histograms, sized for the evaluation's
 // sample ranges (durations in nanoseconds, byte counts). Unlike CDF it
@@ -130,14 +123,6 @@ func (s *Sketch) N() int { return int(s.n) }
 // Sum returns the sum of all samples.
 func (s *Sketch) Sum() float64 { return s.sum }
 
-// Mean returns the arithmetic mean, 0 for an empty sketch.
-func (s *Sketch) Mean() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.sum / float64(s.n)
-}
-
 // Min and Max are exact (tracked outside the buckets).
 func (s *Sketch) Min() float64 {
 	if s.n == 0 {
@@ -156,8 +141,10 @@ func (s *Sketch) Max() float64 {
 
 // Quantile returns the q-th quantile (0..1) as the smallest recorded
 // bucket whose cumulative count reaches ceil(q*n) — the order-statistic
-// definition — with at most SketchRelError relative error for positive
-// samples. Quantile(0) and Quantile(1) are the exact min and max.
+// definition. For positive samples the error is at most half a bucket
+// (~1.1%): a bucket spans a 2^(1/32) ratio and the reported value is its
+// geometric midpoint. Quantile(0) and Quantile(1) are the exact min and
+// max.
 func (s *Sketch) Quantile(q float64) float64 {
 	if s.n == 0 {
 		return 0

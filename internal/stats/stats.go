@@ -58,11 +58,10 @@ func medianInteger[T integer](xs []T) T {
 // MedianDuration is Median over durations.
 func MedianDuration(xs []time.Duration) time.Duration { return medianInteger(xs) }
 
-// MedianInt is Median over ints, returning an int.
-func MedianInt(xs []int) int { return medianInteger(xs) }
-
 // Percentile returns the p-th percentile (0..100) using linear
 // interpolation between closest ranks.
+//
+//simlint:allow deadapi batch reference TestPropertySketchConvergesToPercentile and TestCDFQuantileMatchesPercentile check Sketch and CDF against
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -94,18 +93,6 @@ func percentileSorted(s []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Mean returns the arithmetic mean, 0 for empty input.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }
 
 // CDF is an empirical cumulative distribution function.
@@ -142,27 +129,6 @@ func (c *CDF) Quantile(q float64) float64 {
 // Median returns the 0.5 quantile.
 func (c *CDF) Median() float64 { return c.Quantile(0.5) }
 
-// Points samples the CDF at n evenly spaced sample indices, returning
-// (x, P(X<=x)) pairs suitable for plotting or table output.
-func (c *CDF) Points(n int) [][2]float64 {
-	if len(c.sorted) == 0 || n <= 0 {
-		return nil
-	}
-	out := make([][2]float64, 0, n)
-	for i := 1; i <= n; i++ {
-		q := float64(i) / float64(n)
-		idx := int(q*float64(len(c.sorted))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(c.sorted) {
-			idx = len(c.sorted) - 1
-		}
-		out = append(out, [2]float64{c.sorted[idx], q})
-	}
-	return out
-}
-
 // RelDiff returns (x-baseline)/baseline, the paper's relative difference
 // metric (e.g. "+10%" means 10% slower than the baseline protocol).
 func RelDiff(x, baseline float64) float64 {
@@ -170,11 +136,6 @@ func RelDiff(x, baseline float64) float64 {
 		return 0
 	}
 	return (x - baseline) / baseline
-}
-
-// RelDiffDurations computes RelDiff over duration medians.
-func RelDiffDurations(x, baseline time.Duration) float64 {
-	return RelDiff(float64(x), float64(baseline))
 }
 
 // Sparkline renders values (assumed in [lo, hi]) as a unicode mini-chart.

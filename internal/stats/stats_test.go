@@ -105,31 +105,14 @@ func TestMedianIntegerNoOverflow(t *testing.T) {
 	if got := MedianDuration([]time.Duration{big - 1, big}); got != big-1 {
 		t.Errorf("MedianDuration near MaxInt64 = %v, want %v", got, big-1)
 	}
-	if got := MedianInt([]int{math.MaxInt, math.MaxInt - 2}); got != math.MaxInt-1 {
-		t.Errorf("MedianInt near MaxInt = %v, want %v", got, math.MaxInt-1)
+	if got := medianInteger([]int{math.MaxInt, math.MaxInt - 2}); got != math.MaxInt-1 {
+		t.Errorf("medianInteger near MaxInt = %v, want %v", got, math.MaxInt-1)
 	}
-	if got := MedianInt([]int{math.MinInt, math.MinInt + 2}); got != math.MinInt+1 {
-		t.Errorf("MedianInt near MinInt = %v, want %v", got, math.MinInt+1)
+	if got := medianInteger([]int{math.MinInt, math.MinInt + 2}); got != math.MinInt+1 {
+		t.Errorf("medianInteger near MinInt = %v, want %v", got, math.MinInt+1)
 	}
-}
-
-func TestCDFPointsMonotonic(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	pts := NewCDF(xs).Points(20)
-	if len(pts) != 20 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i][0] < pts[i-1][0] || pts[i][1] <= pts[i-1][1] {
-			t.Fatalf("points not monotonic: %v", pts)
-		}
-	}
-	if pts[len(pts)-1][1] != 1 {
-		t.Errorf("last point P = %v, want 1", pts[len(pts)-1][1])
+	if got := medianInteger([]int{5, 1, 9}); got != 5 {
+		t.Errorf("medianInteger of odd length = %v, want 5", got)
 	}
 }
 
@@ -197,17 +180,5 @@ func TestSparkline(t *testing.T) {
 	r := []rune(s)
 	if r[0] >= r[1] || r[1] >= r[2] {
 		t.Errorf("sparkline not increasing: %q", s)
-	}
-}
-
-func TestMeanAndMedianInt(t *testing.T) {
-	if got := Mean([]float64{1, 2, 3}); got != 2 {
-		t.Errorf("Mean = %v", got)
-	}
-	if got := Mean(nil); got != 0 {
-		t.Errorf("Mean(nil) = %v", got)
-	}
-	if got := MedianInt([]int{5, 1, 9}); got != 5 {
-		t.Errorf("MedianInt = %v", got)
 	}
 }
