@@ -115,11 +115,6 @@ var VerifiedResolverCounts = map[Continent]int{
 	EU: 130, AS: 128, NA: 49, AF: 2, OC: 2, SA: 2,
 }
 
-// ASNDistribution reproduces the paper's Autonomous System distribution:
-// the four named systems host 47/20/18/16 of the 313 resolvers and the
-// remaining 212 are spread over 103 further ASes with at most 12 each.
-type ASName = string
-
 // Place is a geolocated resolver site.
 type Place struct {
 	Continent Continent
@@ -163,6 +158,9 @@ func PlaceResolvers(rng *rand.Rand, counts map[Continent]int) []Place {
 	return places
 }
 
+// assignASNs reproduces the paper's Autonomous System distribution: the
+// four named systems host 47/20/18/16 of the 313 resolvers and the
+// remaining 212 are spread over 103 further ASes with at most 12 each.
 func assignASNs(rng *rand.Rand, places []Place) {
 	n := len(places)
 	// Scale the paper's top-AS counts to the population size.
@@ -246,6 +244,3 @@ func OneWayDelay(a, b Coord) time.Duration {
 	prop := time.Duration(km / fiberKmPerMs * routeStretch * float64(time.Millisecond))
 	return baseDelay + prop
 }
-
-// RTT is twice the one-way delay.
-func RTT(a, b Coord) time.Duration { return 2 * OneWayDelay(a, b) }

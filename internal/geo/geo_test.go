@@ -86,7 +86,7 @@ func TestVantageMedianRTTOrdering(t *testing.T) {
 	for _, vp := range VantagePoints() {
 		rtts := make([]time.Duration, 0, len(places))
 		for _, p := range places {
-			rtts = append(rtts, RTT(vp.Coord, p.Coord))
+			rtts = append(rtts, 2*OneWayDelay(vp.Coord, p.Coord))
 		}
 		sort.Slice(rtts, func(i, j int) bool { return rtts[i] < rtts[j] })
 		medians[vp.Name] = rtts[len(rtts)/2]
