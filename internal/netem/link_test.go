@@ -462,14 +462,14 @@ func TestDialExhaustionFailsLoudly(t *testing.T) {
 // TestProfilesWellFormed sanity-checks the named access profiles.
 func TestProfilesWellFormed(t *testing.T) {
 	names := map[string]bool{}
-	for _, p := range Profiles() {
-		if p.Name == "" || names[p.Name] {
-			t.Errorf("profile %+v: empty or duplicate name", p)
+	for _, name := range ProfileNames() {
+		if name == "" || names[name] {
+			t.Errorf("profile %q: empty or duplicate name", name)
 		}
-		names[p.Name] = true
-		got, err := ProfileByName(p.Name)
-		if err != nil || got != p {
-			t.Errorf("ProfileByName(%q) = %+v, %v", p.Name, got, err)
+		names[name] = true
+		got, err := ProfileByName(name)
+		if err != nil || got.Name != name || got.Down <= 0 || got.Up <= 0 {
+			t.Errorf("ProfileByName(%q) = %+v, %v", name, got, err)
 		}
 	}
 	for _, want := range []string{"fiber", "cable", "4g", "3g", "satellite"} {

@@ -154,12 +154,11 @@ type Network struct {
 	access      map[netip.Addr]*accessLink
 	rng         *rand.Rand
 
-	// Middlebox policies (see policy.go). Both maps empty is the common
+	// Middlebox policies (see policy.go). An empty map is the common
 	// case: send() skips the policy lookup entirely, so campaigns that
 	// install no policies draw exactly the same rng stream as before the
 	// policy layer existed.
-	policies        map[pathKey]Policy
-	policySchedules map[pathKey][]PolicyStep
+	policies map[pathKey]Policy
 
 	// In-flight datagram pool and the two timer callbacks bound once at
 	// construction: a datagram's delivery timers then allocate neither a
@@ -231,8 +230,7 @@ func NewNetwork(w *sim.World) *Network {
 		access:      make(map[netip.Addr]*accessLink),
 		rng:         rand.New(rand.NewSource(w.Rand().Int63())),
 
-		policies:        make(map[pathKey]Policy),
-		policySchedules: make(map[pathKey][]PolicyStep),
+		policies: make(map[pathKey]Policy),
 	}
 	n.arriveFn = func(a any) { n.arrive(a.(*inflight)) }
 	n.deliverFn = func(a any) { n.deliverInflight(a.(*inflight)) }
@@ -520,7 +518,7 @@ func (n *Network) send(d Datagram, wire int) {
 	src, dst := d.Src.Addr(), d.Dst.Addr()
 	key := pathKey{src, dst}
 	p := n.PathAt(src, dst, now)
-	if n.havePolicies() && n.policyDrop(key, d, p.Delay, now) {
+	if n.havePolicies() && n.policyDrop(key, d, p.Delay) {
 		return
 	}
 	mtu := p.MTU

@@ -1,17 +1,14 @@
 package netem
 
 import (
-	"fmt"
 	"net/netip"
-	"sort"
 	"time"
 )
 
 // Policy describes middlebox interference on a directional path: port
 // blocking, UDP blackholing, MTU clamping, and active rejection (an
 // ICMP-style unreachable for UDP, an injected RST for TCP). The zero
-// Policy does nothing; install one with SetPolicy or on a schedule with
-// SetPolicySchedule.
+// Policy does nothing; install one with SetPolicy.
 //
 // A policy is evaluated at send time, before the path's own loss and
 // queue models: a middlebox sits on the path, so a datagram it eats
@@ -74,16 +71,6 @@ func portIn(port uint16, ports []uint16) bool {
 	return false
 }
 
-// PolicyStep is one phase of a time-varying middlebox schedule.
-type PolicyStep struct {
-	// At is the virtual time this step takes effect.
-	At time.Duration
-	// Policy is in effect from At until the next step (or forever, for
-	// the last step). A zero Policy step models the middlebox being
-	// removed.
-	Policy Policy
-}
-
 // SetPolicy installs a static middlebox policy on the directional path
 // from src to dst. A zero Policy removes it.
 func (n *Network) SetPolicy(src, dst netip.Addr, p Policy) {
@@ -95,50 +82,12 @@ func (n *Network) SetPolicy(src, dst netip.Addr, p Policy) {
 	n.policies[key] = p
 }
 
-// SetSymmetricPolicy installs the same policy in both directions.
-func (n *Network) SetSymmetricPolicy(a, b netip.Addr, p Policy) {
-	n.SetPolicy(a, b, p)
-	n.SetPolicy(b, a, p)
-}
-
-// SetPolicySchedule installs a time-varying middlebox schedule on the
-// directional path from src to dst, with PathStep semantics: from
-// steps[i].At onward steps[i].Policy applies, the last step holds
-// forever, and before steps[0].At the static SetPolicy (or no) policy
-// applies. Steps must be in ascending At order. An empty steps slice
-// removes the schedule.
-func (n *Network) SetPolicySchedule(src, dst netip.Addr, steps []PolicyStep) {
-	key := pathKey{src, dst}
-	if len(steps) == 0 {
-		delete(n.policySchedules, key)
-		return
-	}
-	cp := append([]PolicyStep(nil), steps...)
-	for i := 1; i < len(cp); i++ {
-		if cp[i].At < cp[i-1].At {
-			panic(fmt.Sprintf("netem: policy schedule steps out of order: step %d at %v after %v", i, cp[i].At, cp[i-1].At))
-		}
-	}
-	n.policySchedules[key] = cp
-}
-
-// PolicyAt returns the policy in effect from src to dst at virtual time
-// at (the zero Policy when none is installed).
-func (n *Network) PolicyAt(src, dst netip.Addr, at time.Duration) Policy {
-	key := pathKey{src, dst}
-	if steps := n.policySchedules[key]; len(steps) > 0 && at >= steps[0].At {
-		i := sort.Search(len(steps), func(i int) bool { return steps[i].At > at })
-		return steps[i-1].Policy
-	}
-	return n.policies[key]
-}
-
-// policyDrop applies the policy in effect on key to d at time now. It
-// reports whether the datagram was consumed by the middlebox; the
-// caller stops processing on true. Callers guard with havePolicies, so
-// the campaigns that install no policies never reach the map lookups.
-func (n *Network) policyDrop(key pathKey, d Datagram, delay, now time.Duration) bool {
-	pol := n.PolicyAt(key.src, key.dst, now)
+// policyDrop applies the policy installed on key to d. It reports
+// whether the datagram was consumed by the middlebox; the caller stops
+// processing on true. Callers guard with havePolicies, so the campaigns
+// that install no policies never reach the map lookup.
+func (n *Network) policyDrop(key pathKey, d Datagram, delay time.Duration) bool {
+	pol := n.policies[key]
 	if !pol.Active() {
 		return false
 	}
@@ -169,5 +118,5 @@ func (n *Network) policyDrop(key pathKey, d Datagram, delay, now time.Duration) 
 
 // havePolicies reports whether any middlebox policy is installed.
 func (n *Network) havePolicies() bool {
-	return len(n.policies) > 0 || len(n.policySchedules) > 0
+	return len(n.policies) > 0
 }

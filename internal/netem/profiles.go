@@ -59,7 +59,7 @@ var accessProfiles = []AccessProfile{
 }
 
 // extraProfiles are named profiles resolvable by ProfileByName but kept
-// out of the Profiles/ProfileNames grid set: the E19/E21 grids iterate
+// out of the ProfileNames grid set: the E19/E21 grids iterate
 // that set, and its membership is part of their report shape. "wifi" is
 // the migration scenario's starting link (E26): a home WLAN a notch
 // below fiber, with the light loss of a shared radio.
@@ -70,12 +70,8 @@ var extraProfiles = []AccessProfile{
 	},
 }
 
-// Profiles returns the named access profiles, best to worst.
-func Profiles() []AccessProfile {
-	return append([]AccessProfile(nil), accessProfiles...)
-}
-
-// ProfileNames returns the profile names in Profiles order.
+// ProfileNames returns the names of the grid's access profiles, best to
+// worst.
 func ProfileNames() []string {
 	names := make([]string, len(accessProfiles))
 	for i, p := range accessProfiles {
