@@ -137,7 +137,6 @@ type Conn struct {
 	// pathValidated resolves when the matching PATH_RESPONSE arrives.
 	pathChallenge [pathDataLen]byte
 	pathValidated *sim.Future[bool]
-	migrations    int
 
 	version uint32
 	scid    []byte
@@ -287,9 +286,6 @@ func (c *Conn) TLSVersion() tlsmini.Version { return c.engine.NegotiatedVersion(
 func (c *Conn) Stats() (tx, rx int) {
 	return c.prevTx + c.sock.TxBytes, c.prevRx + c.sock.RxBytes
 }
-
-// Migrations reports how many times the connection migrated paths.
-func (c *Conn) Migrations() int { return c.migrations }
 
 // HandshakeStats returns the bytes exchanged up to handshake completion.
 func (c *Conn) HandshakeStats() (tx, rx int) { return c.hsTx, c.hsRx }
@@ -1104,7 +1100,6 @@ func (c *Conn) Migrate() error {
 	c.pathChallenge = f.pathData
 	validated := sim.NewFuture[bool](c.w, "quic-path-validate")
 	c.pathValidated = validated
-	c.migrations++
 	// Anything in flight toward the retired socket — and any response
 	// headed back to it — is gone with the old path. Recover the
 	// application space onto the new path now instead of stalling

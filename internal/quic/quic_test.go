@@ -460,10 +460,10 @@ func TestConnectionMigration(t *testing.T) {
 	e := newEnv(14, 40*time.Millisecond, 0)
 	l := e.startEchoServer(t, e.serverCfg())
 	var (
-		got1, got2  []byte
-		migrateTime time.Duration
-		migrations  int
-		txAfter     int
+		got1, got2       []byte
+		migrateTime      time.Duration
+		oldPort, newPort uint16
+		txAfter          int
 	)
 	e.w.Go(func() {
 		c, err := Dial(e.client, l.Addr(), e.clientCfg())
@@ -476,13 +476,14 @@ func TestConnectionMigration(t *testing.T) {
 		got1, _ = st.ReadAll()
 		txBefore, _ := c.Stats()
 
+		oldPort = c.sock.LocalAddr().Port()
 		start := e.w.Now()
 		if err := c.Migrate(); err != nil {
 			t.Errorf("Migrate: %v", err)
 			return
 		}
 		migrateTime = e.w.Now() - start
-		migrations = c.Migrations()
+		newPort = c.sock.LocalAddr().Port()
 
 		// The server must have rebound the connection to the new path:
 		// a follow-up request flows over the migrated socket.
@@ -502,8 +503,8 @@ func TestConnectionMigration(t *testing.T) {
 	if !bytes.Equal(got2, []byte("echo:after")) {
 		t.Errorf("post-migration echo: got %q", got2)
 	}
-	if migrations != 1 {
-		t.Errorf("Migrations() = %d, want 1", migrations)
+	if newPort == oldPort {
+		t.Errorf("Migrate kept the local port %d, want a fresh socket", oldPort)
 	}
 	// Path validation is one round trip of PATH_CHALLENGE/PATH_RESPONSE.
 	if migrateTime < e.rtt || migrateTime > e.rtt+10*time.Millisecond {

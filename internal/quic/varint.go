@@ -31,9 +31,6 @@ func AppendVarint(b []byte, v uint64) []byte { return appendVarint(b, v) }
 // of bytes consumed.
 func ReadVarint(b []byte) (uint64, int, error) { return readVarint(b) }
 
-// VarintLen returns the encoded size of v.
-func VarintLen(v uint64) int { return varintLen(v) }
-
 // Varint implements QUIC's variable-length integer encoding (RFC 9000
 // §16): the two most significant bits of the first byte give the length.
 func appendVarint(b []byte, v uint64) []byte {
