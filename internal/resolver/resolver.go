@@ -232,13 +232,6 @@ func (r *Resolver) handle(q *dnsmsg.Message, proto dox.Protocol, _ netip.AddrPor
 // CacheStats returns the shared answer cache's counters.
 func (r *Resolver) CacheStats() cache.Stats { return r.cache.Stats() }
 
-// CacheHits returns the number of queries answered from cache.
-func (r *Resolver) CacheHits() int { return r.cache.Stats().Hits }
-
-// CacheMisses returns the number of queries that paid upstream
-// recursion.
-func (r *Resolver) CacheMisses() int { return r.cache.Stats().Misses }
-
 // FlushCache clears the answer cache, keeping its statistics (used
 // between measurement rounds and by the uncached-baseline ablation).
 func (r *Resolver) FlushCache() { r.cache.Flush() }

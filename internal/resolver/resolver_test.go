@@ -148,8 +148,8 @@ func TestCacheWarmingMakesSecondQueryFast(t *testing.T) {
 	if warm > rtt+5*time.Millisecond {
 		t.Errorf("warm query %v, want ~RTT (%v)", warm, rtt)
 	}
-	if res.CacheHits() != 1 || res.CacheMisses() != 1 {
-		t.Errorf("cache hits=%d misses=%d, want 1/1", res.CacheHits(), res.CacheMisses())
+	if st := res.CacheStats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("cache hits=%d misses=%d, want 1/1", st.Hits, st.Misses)
 	}
 }
 
