@@ -70,9 +70,6 @@ func (q *Queue[T]) Pop() (v T, ok bool) {
 	}
 }
 
-// TryPop removes and returns the oldest item without blocking.
-func (q *Queue[T]) TryPop() (v T, ok bool) { return q.items.pop() }
-
 // PopTimeout is Pop with a virtual-time deadline. ok is false on timeout
 // or close.
 func (q *Queue[T]) PopTimeout(d time.Duration) (v T, ok bool) {
@@ -112,7 +109,7 @@ func (q *Queue[T]) PopTimeout(d time.Duration) (v T, ok bool) {
 }
 
 // Close marks the queue closed and wakes all waiters. Buffered items can
-// still be drained with Pop/TryPop.
+// still be drained with Pop.
 func (q *Queue[T]) Close() {
 	if q.closed {
 		return
@@ -124,9 +121,6 @@ func (q *Queue[T]) Close() {
 	}
 	q.waiters = q.waiters[:0]
 }
-
-// Closed reports whether Close has been called.
-func (q *Queue[T]) Closed() bool { return q.closed }
 
 // Future is a one-shot value handed from one task to another.
 type Future[T any] struct {
