@@ -367,9 +367,6 @@ func (c *Conn) Write(p []byte) error {
 // peer's FIN has been consumed or the connection died.
 func (c *Conn) Read() ([]byte, bool) { return c.readQ.Pop() }
 
-// ReadTimeout is Read with a virtual-time deadline.
-func (c *Conn) ReadTimeout(d time.Duration) ([]byte, bool) { return c.readQ.PopTimeout(d) }
-
 // Abort tears the connection down immediately without the FIN exchange:
 // pending and future reads fail at once, and nothing in flight is
 // waited for. This is what the 4-tuple's death looks like from above
