@@ -20,7 +20,6 @@
 package browser
 
 import (
-	"errors"
 	"fmt"
 	"net/netip"
 	"time"
@@ -238,19 +237,3 @@ func loadHostJob(v any) {
 		ls.allDone = rt.Now()
 	}
 }
-
-// LoadAll navigates a list of pages sequentially, returning per-page
-// results.
-func (e *Engine) LoadAll(ps []*pages.Page) ([]Result, error) {
-	out := make([]Result, 0, len(ps))
-	for _, p := range ps {
-		r := e.Load(p)
-		out = append(out, r)
-		if r.Err != nil {
-			return out, r.Err
-		}
-	}
-	return out, nil
-}
-
-var errNoProxy = errors.New("browser: engine has no proxy address")
