@@ -42,9 +42,6 @@ func NewZipfWorkload(rng *rand.Rand, skew float64, n int) *ZipfWorkload {
 	}
 }
 
-// Names returns the size of the name universe.
-func (w *ZipfWorkload) Names() int { return len(w.names) }
-
 // Next draws the next query: the name and its popularity rank
 // (0 = most popular).
 func (w *ZipfWorkload) Next() (string, uint64) {
