@@ -85,16 +85,3 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	return nil
 }
-
-// IsPkgFunc reports whether call invokes the package-level function
-// pkgPath.name (methods do not match).
-func IsPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	f := CalleeFunc(info, call)
-	if f == nil || f.Pkg() == nil {
-		return false
-	}
-	if f.Pkg().Path() != pkgPath || f.Name() != name {
-		return false
-	}
-	return f.Type().(*types.Signature).Recv() == nil
-}
