@@ -59,6 +59,7 @@ const (
 	RCodeSuccess  RCode = 0
 	RCodeFormErr  RCode = 1
 	RCodeServFail RCode = 2
+	//simlint:allow deadapi wire-format RCode table, round-tripped by TestRCodeRoundTrip
 	RCodeNXDomain RCode = 3
 	RCodeRefused  RCode = 5
 )
