@@ -26,8 +26,8 @@ live-smoke:
 	go test -race -count=1 ./internal/netapi/...
 
 # lint runs the repo's own analyzer suite (cmd/simlint: determinism,
-# pool-ownership, hot-path, layering, and backend-purity rules), go vet,
-# and staticcheck.
+# pool-ownership, hot-path, layering, backend-purity and dead-API
+# rules), go vet, and staticcheck.
 # simlint fails on any finding not covered by a //simlint:allow pragma or
 # the layering ratchet baseline (internal/lint/layering_baseline.txt).
 lint:
@@ -56,6 +56,8 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzDecodeMessage -fuzztime 10s ./internal/tlsmini
 	go test -run '^$$' -fuzz FuzzServerRecords -fuzztime 10s ./internal/tlsmini
 	go test -run '^$$' -fuzz FuzzPrefixReader -fuzztime 10s ./internal/dox
+	go test -run '^$$' -fuzz FuzzParsePacket -fuzztime 10s ./internal/quic
+	go test -run '^$$' -fuzz FuzzParseExchange -fuzztime 10s ./internal/h3
 
 # bench-smoke compiles and runs every benchmark for one iteration, so
 # benchmarks cannot bit-rot.

@@ -15,6 +15,7 @@ import (
 
 type env struct {
 	w        *sim.World
+	net      *netem.Network
 	client   *netem.Host
 	server   *netem.Host
 	identity *tlsmini.Identity
@@ -32,7 +33,7 @@ func newEnv(seed int64, rtt time.Duration, loss float64) *env {
 	n.SetSymmetricPath(c.Addr(), s.Addr(), netem.PathParams{Delay: rtt / 2, Loss: loss})
 	rng := rand.New(rand.NewSource(seed))
 	return &env{
-		w: w, client: c, server: s,
+		w: w, net: n, client: c, server: s,
 		identity: tlsmini.GenerateIdentity(rng, "resolver.example", 1000),
 		cache:    tlsmini.NewSessionCache(),
 		store:    tlsmini.NewTicketStore(),
@@ -63,7 +64,7 @@ func (e *env) clientCfg() Config {
 }
 
 // startEchoServer runs a stream-echo DoQ-style server.
-func (e *env) startEchoServer(t *testing.T, cfg Config) *Listener {
+func (e *env) startEchoServer(t testing.TB, cfg Config) *Listener {
 	t.Helper()
 	l, err := Listen(e.server, 853, cfg)
 	if err != nil {
