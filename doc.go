@@ -6,7 +6,9 @@
 // virtual-time simulator, everything the study depends on: a QUIC v1-
 // shaped transport with session resumption, address-validation tokens,
 // 0-RTT and the traffic-amplification limit; a TLS 1.3-shaped handshake
-// engine with real cryptography; simplified TCP; minimal HTTP/2 and
+// engine with a real HKDF-SHA256 key schedule and AES-GCM records, over
+// hash-based key-exchange and signature stand-ins with X25519/Ed25519
+// wire sizes; simplified TCP; minimal HTTP/2 and
 // HTTP/3; the six DNS transports (DoUDP, DoTCP, DoT, DoH, DoQ, DoH3); a
 // population of simulated public resolvers matching the paper's
 // deployment mix, each answering from a TTL-aware shared cache; the

@@ -1,4 +1,4 @@
-// Package lint is the simlint analyzer suite: seven static checkers
+// Package lint is the simlint analyzer suite: eight static checkers
 // that machine-enforce the invariants this repository otherwise
 // guarantees only by convention and after-the-fact runtime tests.
 //
@@ -16,6 +16,11 @@
 //	backendpurity  netapi/livenet never imports sim/netem, and
 //	             backend-seam consumers (dox, dnsproxy, browser, h2,
 //	             h3) reach the runtime only through netapi
+//	deadapi      no declaration under internal/ that only its own
+//	             package's tests reference, and no *Config/*Options
+//	             field that nothing writes (whole-program: standalone
+//	             simlint on ./... only, with bench/ loaded; go vet runs
+//	             the other seven)
 //
 // Intentional exceptions are recorded in the source as
 // //simlint:allow <rule> <reason>; the reason is mandatory. See
