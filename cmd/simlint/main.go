@@ -98,7 +98,7 @@ func standaloneMain() int {
 		return 2
 	}
 	var deadapi bool
-	perPkg := analyzers[:0:0]
+	var perPkg []*analysis.Analyzer
 	for _, a := range analyzers {
 		if a == lint.DeadAPI {
 			deadapi = true
@@ -118,7 +118,7 @@ func standaloneMain() int {
 			return 2
 		}
 		findings = append(findings, dead...)
-	} else if deadapi && *rulesFlag != "" {
+	} else if deadapi {
 		fmt.Fprintln(os.Stderr, "simlint: deadapi is whole-program and runs only on ./...; skipped")
 	}
 

@@ -9,7 +9,6 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/lint/analysis"
@@ -24,21 +23,13 @@ var DeadAPI = &analysis.Analyzer{
 	Name: "deadapi",
 	Doc: `flag dead declarations and never-set knobs under internal/
 
-Whole-program; runs only in standalone simlint on ./..., with the
-bench/ module loaded as part of the program. In non-test files under
-internal/ it reports:
-  - a package-level func, type, const or var, or a method, exported
-    or not, that no non-test file of the program references and no
-    _test.go file of another package references (a package's own
-    tests do not keep it alive). A method whose name and signature
-    match a method of any interface type in the program is live, as
-    are String, Error and Format.
-  - an exported field of a *Config or *Options struct that nothing
-    writes: no composite-literal key, assignment, or &x.F in non-test
-    code or in any test. A write guarded by the field's own zero check
-    (if x.F == 0 { x.F = ... }) is a default, not a write.
-Test files are matched by syntax: a selector x.Name in another
-package's test keeps every method or field called Name alive.`,
+Whole-program: standalone simlint on ./... only, with bench/ loaded.
+Reports a package-level func, type, const or var, or a method, that
+no non-test code references and no other package's test references
+(interface-satisfying methods and String/Error/Format are live), and
+an exported *Config/*Options field that nothing writes, where a write
+inside the field's own zero check is a default, not a write. Test
+files are matched by syntax.`,
 	Run: func(*analysis.Pass) error {
 		return errors.New("deadapi is whole-program: run it with RunDeadAPI")
 	},
@@ -440,7 +431,7 @@ func (d *deadAPI) scanTests(pkg *loader.Package) error {
 	return nil
 }
 
-// elsewhere reports whether a test outside dir mentions k.
+// elsewhere reports whether dirs holds a directory other than dir.
 func elsewhere(dirs map[string]bool, dir string) bool {
 	for d := range dirs {
 		if d != dir {
@@ -473,7 +464,7 @@ func (d *deadAPI) check(pkg *loader.Package, report func(token.Pos, string)) {
 			switch decl := decl.(type) {
 			case *ast.FuncDecl:
 				if decl.Recv == nil {
-					if decl.Name.Name != "init" && decl.Name.Name != "main" {
+					if decl.Name.Name != "init" {
 						qual(decl.Name)
 					}
 					continue
@@ -520,21 +511,4 @@ func (d *deadAPI) checkConfig(pkg *loader.Package, spec *ast.TypeSpec, report fu
 				pkg.Types.Name(), name, id.Name))
 		}
 	}
-}
-
-// sortFindings orders findings by position, then rule.
-func sortFindings(out []Finding) {
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Rule < b.Rule
-	})
 }

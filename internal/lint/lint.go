@@ -29,6 +29,7 @@ package lint
 
 import (
 	"go/token"
+	"sort"
 
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/loader"
@@ -101,4 +102,21 @@ func Run(pkgs []*loader.Package, analyzers []*analysis.Analyzer) ([]Finding, err
 	}
 	sortFindings(out)
 	return out, nil
+}
+
+// sortFindings orders findings by position, then rule.
+func sortFindings(out []Finding) {
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Pos.Filename != b.Pos.Filename {
+			return a.Pos.Filename < b.Pos.Filename
+		}
+		if a.Pos.Line != b.Pos.Line {
+			return a.Pos.Line < b.Pos.Line
+		}
+		if a.Pos.Column != b.Pos.Column {
+			return a.Pos.Column < b.Pos.Column
+		}
+		return a.Rule < b.Rule
+	})
 }
