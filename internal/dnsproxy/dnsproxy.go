@@ -251,30 +251,27 @@ func New(be netapi.Backend, cfg Config) (*Proxy, error) {
 		p.dgFree = append(p.dgFree, dg)
 		p.forward(d)
 	}
-	p.be.Go(p.serve)
+	sock.Handle(p.serve, nil)
 	return p, nil
 }
 
 // Addr returns the local address Chromium's stub should query.
 func (p *Proxy) Addr() netip.AddrPort { return p.sock.LocalAddr() }
 
-func (p *Proxy) serve() {
-	for {
-		d, ok := p.sock.Recv()
-		if !ok {
-			return
-		}
-		var dg *netapi.Packet
-		if n := len(p.dgFree); n > 0 {
-			dg = p.dgFree[n-1]
-			p.dgFree[n-1] = nil
-			p.dgFree = p.dgFree[:n-1]
-		} else {
-			dg = new(netapi.Packet)
-		}
-		*dg = d
-		p.be.GoCall(p.fwdFn, dg)
+// serve is the listening socket's receive handler: it hands each stub
+// query to a forward task of its own, since forwarding blocks on the
+// upstream exchange.
+func (p *Proxy) serve(d netapi.Packet) {
+	var dg *netapi.Packet
+	if n := len(p.dgFree); n > 0 {
+		dg = p.dgFree[n-1]
+		p.dgFree[n-1] = nil
+		p.dgFree = p.dgFree[:n-1]
+	} else {
+		dg = new(netapi.Packet)
 	}
+	*dg = d
+	p.be.GoCall(p.fwdFn, dg)
 }
 
 // queryKey extracts the coalescing/cache key of a query's first

@@ -622,3 +622,64 @@ func TestStubHitsReturnEveryBuffer(t *testing.T) {
 		t.Errorf("a burst of %d stub-cache hits added %d bytepool misses, want 0", clients*burst, misses)
 	}
 }
+
+// TestSchedulerHandoffsPerQuery pins the kernel work of one stub query
+// over DoUDP, counted in goroutine handoffs (sim.World.Stats). A stub
+// cache hit wakes the proxy's forward task and the stub; an upstream
+// exchange also starts the resolver's query task, wakes it from its
+// processing delay, and wakes the forward task when the answer
+// arrives. Datagram delivery and the receive handlers of the proxy,
+// the DoUDP client and the resolver run inline, so a receive path that
+// parks a reader task again shows up here as one extra handoff per
+// datagram it reads.
+func TestSchedulerHandoffsPerQuery(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		cache    bool
+		handoffs uint64 // per query, in steady state
+		inline   uint64 // AfterCall callbacks per query
+	}{
+		{"stub-hit", true, 2, 2},
+		{"upstream-exchange", false, 5, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			u, p := setup(t, dox.DoUDP, func(c *Config) { c.StubCache = tc.cache })
+			const queries = 20
+			var d sim.Stats
+			u.W.Go(func() {
+				sock := u.Vantages[0].Host.Dial(netem.ProtoUDP, 8)
+				defer sock.Close()
+				query := func(id uint16) {
+					q := dnsmsg.NewQuery(id, "steady.example", dnsmsg.TypeA)
+					sock.Send(p.Addr(), q.AppendEncode(sock.Pool().Get(512)))
+					r, ok := sock.RecvTimeout(5 * time.Second)
+					if !ok {
+						t.Error("no answer")
+						return
+					}
+					sock.Pool().Put(r.Payload)
+				}
+				query(1) // the first query opens the upstream session
+				s0 := u.W.Stats()
+				for i := 0; i < queries; i++ {
+					query(uint16(i + 2))
+				}
+				s1 := u.W.Stats()
+				d = sim.Stats{
+					Handoffs:   s1.Handoffs - s0.Handoffs,
+					Inline:     s1.Inline - s0.Inline,
+					TimerWakes: s1.TimerWakes - s0.TimerWakes,
+					Spawns:     s1.Spawns - s0.Spawns,
+				}
+			})
+			u.W.Run()
+			t.Logf("%d queries: %+v", queries, d)
+			if got := d.Handoffs; got != tc.handoffs*queries {
+				t.Errorf("handoffs = %.2f per query, want %d", float64(got)/queries, tc.handoffs)
+			}
+			if got := d.Inline; got != tc.inline*queries {
+				t.Errorf("inline callbacks = %.2f per query, want %d", float64(got)/queries, tc.inline)
+			}
+		})
+	}
+}

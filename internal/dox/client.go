@@ -175,29 +175,25 @@ func newUDPClient(o Options) (*udpClient, error) {
 	}
 	c := &udpClient{demux: newDemux(o.Backend), sock: sock, raddr: netip.AddrPortFrom(o.Resolver, o.UDPPort)}
 	c.session = session{o: o, t: c}
-	o.Backend.Go(c.readLoop)
+	sock.Handle(c.recv, c.failAll)
 	return c, nil
 }
 
-func (c *udpClient) readLoop() {
-	for {
-		d, ok := c.sock.Recv()
-		if !ok {
-			c.failAll()
-			return
-		}
-		if d.Reject {
-			c.mu.Lock()
-			c.refused = true
-			c.mu.Unlock()
-			c.failAll()
-			continue
-		}
-		resp, err := dnsmsg.Decode(d.Payload)
-		c.sock.Pool().Put(d.Payload) // Decode copies everything it keeps
-		if err == nil {
-			c.deliver(resp)
-		}
+// recv is the socket's receive handler: it resolves the query each
+// response answers, and fails every query when the network rejects the
+// resolver port.
+func (c *udpClient) recv(d netapi.Packet) {
+	if d.Reject {
+		c.mu.Lock()
+		c.refused = true
+		c.mu.Unlock()
+		c.failAll()
+		return
+	}
+	resp, err := dnsmsg.Decode(d.Payload)
+	c.sock.Pool().Put(d.Payload) // Decode copies everything it keeps
+	if err == nil {
+		c.deliver(resp)
 	}
 }
 

@@ -79,7 +79,7 @@ func (l *freeList[T]) get() *T {
 
 func (l *freeList[T]) put(j *T) { *l = append(*l, j) }
 
-// udpJob carries one DoUDP query from the receive loop to its task.
+// udpJob carries one DoUDP query from the receive handler to its task.
 type udpJob struct {
 	s    *Server
 	sock netapi.PacketConn
@@ -195,17 +195,11 @@ func (s *Server) ServeUDP() error {
 		return err
 	}
 	s.endpoints = append(s.endpoints, sock)
-	s.be.Go(func() {
-		for {
-			p, ok := sock.Recv()
-			if !ok {
-				return
-			}
-			j := s.udpFree.get()
-			j.s, j.sock, j.p = s, sock, p
-			s.be.GoCall(serveUDPJob, j)
-		}
-	})
+	sock.Handle(func(p netapi.Packet) {
+		j := s.udpFree.get()
+		j.s, j.sock, j.p = s, sock, p
+		s.be.GoCall(serveUDPJob, j)
+	}, nil)
 	return nil
 }
 

@@ -74,9 +74,9 @@ func (s *session) abort(conn netapi.StreamConn) {
 }
 
 // demux matches answers to in-flight queries by message ID, for the
-// transports whose reader task serves every query on one socket or
-// stream (DoUDP, DoT). mu guards pending against that reader; it is a
-// no-op lock on the sim backend.
+// transports that serve every query on one socket or stream: DoUDP from
+// its receive handler, DoT from its reader task. mu guards pending
+// against that reader; it is a no-op lock on the sim backend.
 type demux struct {
 	mu      sync.Locker
 	pending map[uint16]*netapi.Future[*dnsmsg.Message]

@@ -189,3 +189,64 @@ func TestMonotonicClock(t *testing.T) {
 		}
 	})
 }
+
+// TestPacketConnHandle: the handler receives datagrams, closed runs
+// exactly once after Close, and nothing is delivered after Close. The
+// livenet case runs over loopback UDP.
+func TestPacketConnHandle(t *testing.T) {
+	onBackends(t, func(t *testing.T, be netapi.Backend) {
+		rx, err := be.ListenUDP(0, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx, err := be.DialUDP(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tx.Close()
+		dst := rx.LocalAddr()
+		if dst.Addr().IsUnspecified() {
+			dst = netip.AddrPortFrom(netip.MustParseAddr("127.0.0.1"), dst.Port())
+		}
+		send := func(s string) { tx.Send(dst, append(tx.Pool().Get(len(s)), s...)) }
+
+		mu := be.NewLock()
+		var got []string
+		closedRuns := 0
+		received := be.NewEvent("conformance-handle-recv")
+		closed := be.NewEvent("conformance-handle-closed")
+		rx.Handle(func(p netapi.Packet) {
+			mu.Lock()
+			got = append(got, string(p.Payload))
+			mu.Unlock()
+			rx.Pool().Put(p.Payload)
+			received.Complete(true)
+		}, func() {
+			mu.Lock()
+			closedRuns++
+			mu.Unlock()
+			closed.Complete(true)
+		})
+
+		send("hello")
+		if !received.WaitTimeout(2 * time.Second) {
+			t.Fatal("handler received no datagram")
+		}
+		rx.Close()
+		if !closed.WaitTimeout(2 * time.Second) {
+			t.Fatal("closed did not run after Close")
+		}
+		rx.Close()
+		send("after close")
+		be.Sleep(50 * time.Millisecond)
+
+		mu.Lock()
+		defer mu.Unlock()
+		if len(got) != 1 || got[0] != "hello" {
+			t.Errorf("handler received %q, want [hello]", got)
+		}
+		if closedRuns != 1 {
+			t.Errorf("closed ran %d times, want 1", closedRuns)
+		}
+	})
+}

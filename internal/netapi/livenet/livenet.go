@@ -14,9 +14,9 @@
 //
 // Pool discipline: bytepool.Pool is unlocked (a sim single-task
 // assumption), so each PacketConn owns a private pool that only the
-// conn's receiving task touches — Recv leases from it and the receive
-// loop Puts leases back on the same goroutine. Send never recycles the
-// payload; it is dropped to the garbage collector.
+// conn's receiving goroutine touches — the read leases from it and the
+// receive handler Puts leases back on the same goroutine. Send never
+// recycles the payload; it is dropped to the garbage collector.
 package livenet
 
 import (
@@ -173,6 +173,24 @@ func (c *packetConn) Send(dst netip.AddrPort, payload []byte) {
 	}
 	// payload is owned by the conn now; it goes to the GC, not the pool,
 	// because the pool belongs to the receive goroutine.
+}
+
+// Handle runs the conn's read loop on a goroutine of its own, calling
+// recv for each datagram until the conn is closed, then closed.
+func (c *packetConn) Handle(recv func(netapi.Packet), closed func()) {
+	go func() {
+		for {
+			p, ok := c.Recv()
+			if !ok || c.closed.Load() {
+				c.pool.Put(p.Payload)
+				break
+			}
+			recv(p)
+		}
+		if closed != nil {
+			closed()
+		}
+	}()
 }
 
 func (c *packetConn) Recv() (netapi.Packet, bool) {

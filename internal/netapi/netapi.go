@@ -59,7 +59,7 @@ type Runtime interface {
 	NewEvent(name string) Event
 	// NewGroup creates a task completion group.
 	NewGroup() Group
-	// NewLock guards state shared between a client and its reader task
+	// NewLock guards state shared between a client and its receive path
 	// (pending-query maps). Sim tasks are cooperatively scheduled and
 	// never preempted inside a critical section, so the sim lock is a
 	// no-op; livenet returns a real mutex.
@@ -112,8 +112,16 @@ type PacketConn interface {
 	// payload (pool lease discipline: a pooled buffer handed to Send
 	// must not be touched again).
 	Send(dst netip.AddrPort, payload []byte)
+	// Handle installs the conn's receive handler, once, before any
+	// datagram arrives. recv is called for every datagram, in arrival
+	// order, and owns its payload; it must not block. On simnet it runs
+	// inline in the scheduler at the datagram's delivery instant; on
+	// livenet it runs on the conn's read goroutine. closed, if non-nil,
+	// runs once after the conn is closed, as a task of its own; recv is
+	// never called after closed.
+	Handle(recv func(Packet), closed func())
 	// Recv blocks for the next datagram; ok is false once the conn is
-	// closed.
+	// closed. A conn with a handler delivers nothing to Recv.
 	Recv() (Packet, bool)
 	// RecvTimeout is Recv with a deadline; ok is false on timeout or
 	// close.

@@ -145,6 +145,14 @@ func (c *packetConn) Send(dst netip.AddrPort, payload []byte) {
 	c.sock().Send(dst, payload)
 }
 
+// Handle passes the handler through to the netem socket; each datagram
+// reaches recv inline, from its delivery timer.
+func (c *packetConn) Handle(recv func(netapi.Packet), closed func()) {
+	c.sock().Handle(func(d netem.Datagram) {
+		recv(netapi.Packet{Src: d.Src, Payload: d.Payload, Reject: d.Reject})
+	}, closed)
+}
+
 func (c *packetConn) Recv() (netapi.Packet, bool) {
 	d, ok := c.sock().Recv()
 	return netapi.Packet{Src: d.Src, Payload: d.Payload, Reject: d.Reject}, ok

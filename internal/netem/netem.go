@@ -6,10 +6,12 @@
 // named access-network profiles (see profiles.go).
 //
 // netem sits directly on top of the sim kernel: sending a datagram
-// schedules its delivery at Now()+delay on the destination host's socket
-// queue, where delay includes propagation, serialization through every
-// bottleneck on the way (path and access links), and queueing behind
-// earlier datagrams. Transport protocols (internal/tcpsim,
+// schedules its delivery at Now()+delay to the destination socket, where
+// delay includes propagation, serialization through every bottleneck on
+// the way (path and access links), and queueing behind earlier
+// datagrams. Delivery runs inline in the scheduler (sim.AfterCall) and
+// calls the socket's receive handler directly; sockets without one
+// queue the datagram for Recv. Transport protocols (internal/tcpsim,
 // internal/quic) and plain UDP applications all run over netem sockets.
 //
 // Byte accounting follows the paper's convention of counting IP payload
@@ -714,6 +716,11 @@ type Socket struct {
 	queue    *sim.Queue[Datagram]
 	closed   bool
 
+	// onRecv and onClosed are the receive handler and close callback
+	// installed by Handle; with onRecv set, nothing is queued.
+	onRecv   func(Datagram)
+	onClosed func()
+
 	// TxBytes and RxBytes count IP payload bytes (datagram payload plus
 	// the configured per-datagram header overhead).
 	TxBytes, RxBytes int
@@ -753,7 +760,29 @@ func (s *Socket) deliver(d Datagram) {
 		s.RxBytes += len(d.Payload) + s.overhead
 		s.RxDatagrams++
 	}
+	if s.onRecv != nil {
+		s.onRecv(d)
+		return
+	}
 	s.queue.Push(d)
+}
+
+// Handle installs the socket's receive handler. Every later datagram is
+// passed to recv as it arrives, inline in the scheduler, instead of
+// being queued for Recv: recv runs to completion without a task switch,
+// so it must not block (it may spawn tasks, wake waiters and send).
+// The receiver owns each payload and returns it to the pool, as with
+// Recv. closed, if non-nil, runs once as a new task when the socket is
+// closed. Handle may be called once per socket, before any datagram
+// has been queued for Recv.
+func (s *Socket) Handle(recv func(Datagram), closed func()) {
+	if s.onRecv != nil {
+		panic("netem: Socket.Handle called twice")
+	}
+	if s.queue.Len() > 0 {
+		panic("netem: Socket.Handle with datagrams already queued for Recv")
+	}
+	s.onRecv, s.onClosed = recv, closed
 }
 
 // Recv blocks until a datagram arrives. ok is false once the socket is
@@ -765,13 +794,18 @@ func (s *Socket) RecvTimeout(d time.Duration) (Datagram, bool) {
 	return s.queue.PopTimeout(d)
 }
 
-// Close unbinds the socket and wakes blocked receivers.
+// Close unbinds the socket, wakes blocked receivers, and spawns the
+// close callback installed by Handle. The callback task takes the
+// run-queue slot a parked reader's wake would take.
 func (s *Socket) Close() {
 	if s.closed {
 		return
 	}
 	s.closed = true
 	delete(s.host.ports, portKey{s.proto, s.local.Port()})
+	if s.onClosed != nil {
+		s.host.net.World.Go(s.onClosed)
+	}
 	s.queue.Close()
 }
 

@@ -237,3 +237,85 @@ func TestPooledDatagramPathZeroAlloc(t *testing.T) {
 		t.Errorf("pooled datagram echo allocated %v objects per 20ms slice, want 0", allocs)
 	}
 }
+
+// TestSocketHandleDeliversInline: a handled socket receives each
+// datagram at its delivery instant without a task switch, and queues
+// nothing for Recv.
+func TestSocketHandleDeliversInline(t *testing.T) {
+	w := sim.NewWorld(1)
+	n := NewNetwork(w)
+	a := n.Host(addr("10.0.0.1"))
+	b := n.Host(addr("10.0.0.2"))
+	n.SetSymmetricPath(a.Addr(), b.Addr(), PathParams{Delay: 25 * time.Millisecond})
+	srv, _ := b.Listen(ProtoUDP, 53, 8)
+	var got []string
+	var at []time.Duration
+	srv.Handle(func(d Datagram) {
+		got = append(got, string(d.Payload))
+		at = append(at, w.Now())
+	}, nil)
+	w.Go(func() {
+		c := a.Dial(ProtoUDP, 8)
+		c.Send(srv.LocalAddr(), []byte("one"))
+		c.Send(srv.LocalAddr(), []byte("two"))
+	})
+	w.Run()
+	if len(got) != 2 || got[0] != "one" || got[1] != "two" {
+		t.Fatalf("handler got %q, want [one two]", got)
+	}
+	if at[0] != 25*time.Millisecond || at[1] != 25*time.Millisecond {
+		t.Errorf("delivered at %v, want 25ms", at)
+	}
+	if srv.queue.Len() != 0 {
+		t.Errorf("%d datagrams queued for Recv on a handled socket", srv.queue.Len())
+	}
+	if s := w.Stats(); s.Handoffs != 1 || s.Spawns != 1 {
+		t.Errorf("Stats = %+v, want only the sending task's handoff", s)
+	}
+}
+
+func TestSocketHandlePanicsWithQueuedDatagrams(t *testing.T) {
+	w := sim.NewWorld(1)
+	n := NewNetwork(w)
+	a := n.Host(addr("10.0.0.1"))
+	srv, _ := a.Listen(ProtoUDP, 53, 8)
+	w.Go(func() { a.Dial(ProtoUDP, 8).Send(srv.LocalAddr(), []byte("early")) })
+	w.Run()
+	defer func() {
+		if recover() == nil {
+			t.Error("Handle on a socket with a queued datagram did not panic")
+		}
+	}()
+	srv.Handle(func(Datagram) {}, nil)
+}
+
+// TestSocketCloseRunsClosedOnceAsTask: closed runs once, as a task of
+// its own queued behind the tasks already runnable when Close ran, and
+// the handler sees nothing after Close.
+func TestSocketCloseRunsClosedOnceAsTask(t *testing.T) {
+	w := sim.NewWorld(1)
+	n := NewNetwork(w)
+	a := n.Host(addr("10.0.0.1"))
+	srv, _ := a.Listen(ProtoUDP, 53, 8)
+	var order []string
+	recvd := 0
+	srv.Handle(func(Datagram) { recvd++ }, func() { order = append(order, "closed") })
+	w.Go(func() {
+		c := a.Dial(ProtoUDP, 8)
+		c.Send(srv.LocalAddr(), []byte("before"))
+		w.Sleep(time.Second)
+		c.Send(srv.LocalAddr(), []byte("lost"))
+		w.Go(func() { order = append(order, "runnable") })
+		srv.Close()
+		srv.Close()
+		order = append(order, "closer")
+	})
+	w.Run()
+	want := []string{"closer", "runnable", "closed"}
+	if len(order) != len(want) || order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
+		t.Errorf("order = %v, want %v", order, want)
+	}
+	if recvd != 1 {
+		t.Errorf("handler received %d datagrams, want 1 (none after Close)", recvd)
+	}
+}

@@ -160,7 +160,6 @@ type Conn struct {
 	ampQueue   [][]byte
 
 	ptoTimer sim.Timer
-	ptoFn    func() // onPTO, bound once so re-arming allocates nothing
 	pto      time.Duration
 	ptoCount int
 	// ampPTOs counts probe timeouts fired while amplification-blocked.
@@ -236,7 +235,6 @@ func newConn(w *sim.World, sock *netem.Socket, owned bool, peer netip.AddrPort, 
 	for i := range c.spaces {
 		c.spaces[i] = newSpace()
 	}
-	c.ptoFn = c.onPTO
 	c.scid = make([]byte, cidLen)
 	cfg.Rand.Read(c.scid)
 	return c
@@ -680,9 +678,6 @@ func (c *Conn) handleDatagram(d netem.Datagram) {
 
 var errVersionNegotiation = errors.New("quic: version negotiation required")
 
-// PTOTrace enables PTO diagnostics on stdout (debug aid).
-var PTOTrace = false
-
 // processPacket handles one packet. It reports false when the packet
 // could not be decrypted because its keys are not yet available (the
 // caller buffers such packets for retry).
@@ -967,15 +962,15 @@ func (c *Conn) armPTO() {
 	if !outstanding && c.hsComplete {
 		return
 	}
-	c.ptoTimer = c.w.AfterFunc(c.pto, c.ptoFn)
+	c.ptoTimer = c.w.AfterCall(c.pto, onPTO, c)
 }
+
+// onPTO is the probe timer's callback; it runs inline in the scheduler.
+func onPTO(a any) { a.(*Conn).onPTO() }
 
 func (c *Conn) onPTO() {
 	if c.closed {
 		return
-	}
-	if PTOTrace {
-		fmt.Printf("PTO at %v client=%v count=%d pto=%v\n", c.w.Now(), c.isClient, c.ptoCount, c.pto)
 	}
 	ampBlocked := !c.isClient && !c.validated && len(c.ampQueue) > 0
 	if ampBlocked {
@@ -1040,31 +1035,21 @@ func (c *Conn) retransmitUnacked(from int) bool {
 	return resent
 }
 
-// recvLoop drives a dialed connection from one socket; migration
-// retires the socket (ending its loop) and starts a loop on the
-// replacement. The datagram buffer is released once handleDatagram
-// returns: anything the connection keeps from it (buffered
-// undecryptable packets, adopted connection IDs) has been copied by
-// then.
-func (c *Conn) recvLoop(sock *netem.Socket) {
-	for {
-		d, ok := sock.Recv()
-		if !ok {
-			return
-		}
-		if d.Reject {
-			// ICMP-style rejection from a middlebox: the peer is
-			// actively unreachable on this path, so fail now rather
-			// than burning the PTO budget.
-			c.teardown(errors.New("quic: connection refused"))
-			return
-		}
-		c.handleDatagram(d)
-		sock.Pool().Put(d.Payload)
-		if c.closed {
-			return
-		}
+// clientRecv is a dialed connection's receive handler, installed on
+// each socket the connection uses; migration closes the retired one.
+// The datagram buffer is released once handleDatagram returns: anything
+// the connection keeps from it (buffered undecryptable packets, adopted
+// connection IDs) has been copied by then.
+func (c *Conn) clientRecv(d netem.Datagram) {
+	if d.Reject {
+		// ICMP-style rejection from a middlebox: the peer is actively
+		// unreachable on this path, so fail now rather than burning the
+		// PTO budget.
+		c.teardown(errors.New("quic: connection refused"))
+		return
 	}
+	c.handleDatagram(d)
+	c.sock.Pool().Put(d.Payload)
 }
 
 // Migrate moves the client end of the connection onto a fresh socket —
@@ -1090,9 +1075,9 @@ func (c *Conn) Migrate() error {
 	c.prevTx += old.TxBytes
 	c.prevRx += old.RxBytes
 	c.sock = sock
-	c.w.Go(func() { c.recvLoop(sock) })
-	// Closing the retired socket ends its recv loop; anything still in
-	// flight toward it is recovered by PTO onto the new path.
+	sock.Handle(c.clientRecv, nil)
+	// Anything still in flight toward the retired socket is recovered
+	// by PTO onto the new path.
 	old.Close()
 
 	f := &frame{kind: frPathChallenge}

@@ -64,7 +64,7 @@ func dialOnce(host *netem.Host, raddr netip.AddrPort, cfg Config, version uint32
 		c.teardown(err)
 		return c
 	}
-	host.World().Go(func() { c.recvLoop(sock) })
+	sock.Handle(c.clientRecv, nil)
 	return c
 }
 
@@ -109,7 +109,7 @@ func Listen(host *netem.Host, port uint16, cfg Config) (*Listener, error) {
 		byCID:   make(map[string]*Conn),
 		acceptQ: sim.NewQueue[*Conn](host.World(), fmt.Sprintf("quic-listen:%d", port)),
 	}
-	l.w.Go(l.demux)
+	sock.Handle(l.demux, nil)
 	return l, nil
 }
 
@@ -129,22 +129,17 @@ func (l *Listener) Close() {
 	l.acceptQ.Close()
 }
 
-func (l *Listener) demux() {
-	for {
-		d, ok := l.sock.Recv()
-		if !ok {
-			return
-		}
-		if d.Reject {
-			// Middlebox rejection of one of our sends; a server has no
-			// per-path state worth tearing down for it.
-			continue
-		}
-		l.handleOne(d)
-		// Nothing retains the datagram buffer past handleOne (connections
-		// copy what they keep), so it goes back to the pool here.
-		l.sock.Pool().Put(d.Payload)
+// demux is the listening socket's receive handler.
+func (l *Listener) demux(d netem.Datagram) {
+	if d.Reject {
+		// Middlebox rejection of one of our sends; a server has no
+		// per-path state worth tearing down for it.
+		return
 	}
+	l.handleOne(d)
+	// Nothing retains the datagram buffer past handleOne (connections
+	// copy what they keep), so it goes back to the pool here.
+	l.sock.Pool().Put(d.Payload)
 }
 
 func (l *Listener) handleOne(d netem.Datagram) {

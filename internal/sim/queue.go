@@ -62,7 +62,7 @@ func (q *Queue[T]) Pop() (v T, ok bool) {
 		if q.closed || q.w.killing {
 			return v, false
 		}
-		t := q.w.cur
+		t := q.w.blocker()
 		t.op, t.opName = opQueuePop, q.name
 		q.waiters = append(q.waiters, t)
 		q.w.park()
@@ -81,7 +81,7 @@ func (q *Queue[T]) PopTimeout(d time.Duration) (v T, ok bool) {
 	}
 	deadline := q.w.now + d
 	for {
-		t := q.w.cur
+		t := q.w.blocker()
 		t.op, t.opName = opQueuePopTimeout, q.name
 		q.waiters = append(q.waiters, t)
 		timedOut := q.w.parkTimeout(deadline)
@@ -177,7 +177,7 @@ func (g *WaitGroup) Wait() {
 		if g.w.killing {
 			return
 		}
-		t := g.w.cur
+		t := g.w.blocker()
 		t.op = opWaitGroup
 		g.done = append(g.done, t)
 		g.w.park()

@@ -20,8 +20,13 @@
 // timer) and wakes it directly over that task's persistent wake channel,
 // without a round trip through the host goroutine. The host goroutine
 // that called Run participates only twice per run — once to start the
-// first task and once to be told the world is quiescent — so a task
-// switch costs one channel handoff instead of two.
+// first task and once to be told the world is quiescent.
+//
+// AfterCall callbacks are not tasks: the dispatching context runs them
+// inline, on whichever goroutine is handing off, and keeps dispatching,
+// so a fired AfterCall costs no goroutine switch at all. They must not
+// block; a blocking primitive called inside one panics. AfterFunc
+// callbacks, which may block, still run as tasks.
 //
 // The kernel allocates nothing on its steady-state hot paths: tasks are
 // pooled worker goroutines with reusable wake channels, timer entries
@@ -103,6 +108,44 @@ type World struct {
 
 	rng     *rand.Rand
 	killing bool // Shutdown in progress: blocking primitives bail out
+	inline  bool // an AfterCall callback is running: blocking panics
+
+	stats Stats
+}
+
+// Stats counts what the scheduler did, for tests that pin the cost of a
+// protocol exchange in kernel work. The counts are exact and
+// deterministic: they depend only on the event sequence, never on the
+// host.
+type Stats struct {
+	// Handoffs counts goroutine handoffs: each time the kernel woke a
+	// task over its wake channel (a run-queue pop or a timer wake).
+	Handoffs uint64
+	// Inline counts AfterCall callbacks run inline by the scheduler.
+	Inline uint64
+	// TimerWakes counts timers whose firing woke a task: a Sleep or
+	// PopTimeout deadline, or an AfterFunc callback's new task.
+	TimerWakes uint64
+	// Spawns counts tasks started by Go, GoCall and fired AfterFuncs.
+	Spawns uint64
+}
+
+// Stats returns the scheduler counts accumulated since NewWorld.
+func (w *World) Stats() Stats { return w.stats }
+
+// blockInCallback is the panic raised when an AfterCall callback calls
+// a blocking primitive: the callback runs inline in the scheduler, on
+// another task's goroutine, so there is no task of its own to park.
+const blockInCallback = "sim: blocking call inside an AfterCall callback (AfterCall runs inline in the scheduler and must not block; use AfterFunc or Go for work that waits)"
+
+// blocker returns the task about to park, panicking if the caller is an
+// inline AfterCall callback rather than a task. Every blocking primitive
+// calls it before touching any state.
+func (w *World) blocker() *task {
+	if w.inline {
+		panic(blockInCallback)
+	}
+	return w.cur
 }
 
 // NewWorld returns a World whose random source is seeded with seed.
@@ -194,6 +237,7 @@ func (w *World) workerExit(t *task) {
 //
 //simlint:hotpath
 func (w *World) Go(fn func()) {
+	w.stats.Spawns++
 	t := w.getWorker()
 	t.fn = fn
 	w.runq.push(t)
@@ -205,6 +249,7 @@ func (w *World) Go(fn func()) {
 //
 //simlint:hotpath
 func (w *World) GoCall(fn func(any), arg any) {
+	w.stats.Spawns++
 	t := w.getWorker()
 	t.fnArg, t.arg = fn, arg
 	w.runq.push(t)
@@ -213,7 +258,9 @@ func (w *World) GoCall(fn func(any), arg any) {
 // --- Scheduling core ---
 
 // dispatch hands the CPU to the next work item: the oldest runnable
-// task, else the earliest pending timer (advancing the clock). It
+// task, else the earliest pending timer (advancing the clock). A fired
+// AfterCall callback is not a work item of its own: dispatch runs it
+// inline, on the calling goroutine, and goes on dispatching. dispatch
 // returns false when the world is quiescent or the next timer lies
 // beyond the RunFor deadline (in which case the clock is capped at the
 // deadline). After a successful dispatch the caller must not touch
@@ -221,38 +268,57 @@ func (w *World) GoCall(fn func(any), arg any) {
 //
 //simlint:hotpath
 func (w *World) dispatch() bool {
-	if t, ok := w.runq.pop(); ok {
-		w.cur = t
-		t.wake <- struct{}{}
+	for {
+		if t, ok := w.runq.pop(); ok {
+			w.wake(t)
+			return true
+		}
+		if len(w.theap) == 0 {
+			return false
+		}
+		e := w.theap[0]
+		if e.at > w.deadline {
+			w.now = w.deadline
+			return false
+		}
+		w.heapRemove(e)
+		if e.at > w.now {
+			w.now = e.at
+		}
+		if fn := e.fnArg; fn != nil {
+			arg := e.arg
+			w.putEntry(e)
+			w.stats.Inline++
+			w.inline = true
+			fn(arg)
+			w.inline = false
+			continue
+		}
+		t := e.task
+		if t != nil {
+			if t.timeout == e {
+				t.timeout = nil
+				t.timedOut = true
+			}
+		} else {
+			w.stats.Spawns++
+			t = w.getWorker()
+			t.fn = e.fn
+		}
+		w.putEntry(e)
+		w.stats.TimerWakes++
+		w.wake(t)
 		return true
 	}
-	if len(w.theap) == 0 {
-		return false
-	}
-	e := w.theap[0]
-	if e.at > w.deadline {
-		w.now = w.deadline
-		return false
-	}
-	w.heapRemove(e)
-	if e.at > w.now {
-		w.now = e.at
-	}
-	var t *task
-	if e.task != nil {
-		t = e.task
-		if t.timeout == e {
-			t.timeout = nil
-			t.timedOut = true
-		}
-	} else {
-		t = w.getWorker()
-		t.fn, t.fnArg, t.arg = e.fn, e.fnArg, e.arg
-	}
-	w.putEntry(e)
+}
+
+// wake hands the CPU to t.
+//
+//simlint:hotpath
+func (w *World) wake(t *task) {
+	w.stats.Handoffs++
 	w.cur = t
 	t.wake <- struct{}{}
-	return true
 }
 
 // handoff cedes the CPU: dispatch the next item, or tell the host the
@@ -319,7 +385,7 @@ func (w *World) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	t := w.cur
+	t := w.blocker()
 	e := w.newEntry(w.now + d)
 	e.task = t
 	w.heapPush(e)
@@ -331,8 +397,8 @@ func (w *World) Sleep(d time.Duration) {
 // Yield lets other runnable tasks execute before continuing.
 func (w *World) Yield() { w.Sleep(0) }
 
-// AfterFunc schedules fn to run at Now()+d on the kernel, as a pseudo-task
-// of its own. fn must not block forever; it may use World primitives.
+// AfterFunc schedules fn to run at Now()+d on the kernel, as a task of
+// its own. fn must not block forever; it may use World primitives.
 //
 //simlint:hotpath
 func (w *World) AfterFunc(d time.Duration, fn func()) Timer {
@@ -345,9 +411,13 @@ func (w *World) AfterFunc(d time.Duration, fn func()) Timer {
 	return Timer{e: e, gen: e.gen}
 }
 
-// AfterCall is AfterFunc for a pre-bound callback: it schedules fn(arg)
-// without forcing the caller to allocate a fresh closure per timer. fn is
-// typically a long-lived adapter and arg a pooled object.
+// AfterCall schedules fn(arg) to run at Now()+d inline in the scheduler:
+// the goroutine that dispatches the timer calls fn(arg) itself and then
+// goes on dispatching, so no task is started and no goroutine is woken.
+// fn must not block — Sleep, Queue.Pop, PopTimeout, Future.Wait and
+// WaitGroup.Wait panic inside it — but it may spawn tasks, wake
+// waiters and arm timers. A pre-bound fn (a long-lived adapter) and a
+// pointer-shaped arg (a pooled object) make the timer allocation-free.
 //
 //simlint:hotpath
 func (w *World) AfterCall(d time.Duration, fn func(any), arg any) Timer {

@@ -115,7 +115,6 @@ type Conn struct {
 
 	rtxq     []segment
 	rtxTimer sim.Timer
-	rtxFn    func() // onRtxTimeout, bound once so re-arming allocates nothing
 	rto      time.Duration
 	retries  int
 	srtt     time.Duration
@@ -144,7 +143,7 @@ func (c *Conn) LocalAddr() netip.AddrPort { return c.sock.LocalAddr() }
 func (c *Conn) RemoteAddr() netip.AddrPort { return c.peer }
 
 func newConn(w *sim.World, sock *netem.Socket, owned bool, peer netip.AddrPort) *Conn {
-	c := &Conn{
+	return &Conn{
 		w:      w,
 		sock:   sock,
 		owned:  owned,
@@ -154,8 +153,6 @@ func newConn(w *sim.World, sock *netem.Socket, owned bool, peer netip.AddrPort) 
 		readQ:  sim.NewQueue[[]byte](w, "tcp-read"),
 		ooo:    make(map[uint32]segment),
 	}
-	c.rtxFn = c.onRtxTimeout
-	return c
 }
 
 // Dial establishes a connection from host to raddr. It blocks on the
@@ -199,33 +196,26 @@ func Dial(host *netem.Host, raddr netip.AddrPort) (*Conn, error) {
 	// Third handshake segment: pure ACK.
 	ack := segment{flags: flagACK, seq: c.sndNxt, ack: c.rcvNxt}
 	sock.Send(raddr, appendSegment(sock.Pool().Get(wireSize(ack)), ack))
-	w.Go(c.clientLoop)
+	// The socket closes only in teardown, so there is nothing left to
+	// do when it does.
+	sock.Handle(c.clientRecv, nil)
 	return c, nil
 }
 
-func (c *Conn) clientLoop() {
-	for {
-		d, ok := c.sock.Recv()
-		if !ok {
-			c.teardown()
-			return
-		}
-		if d.Reject {
-			// A mid-connection rejection (policy flipped on): the path is
-			// administratively dead, so tear down like an RST.
-			c.teardown()
-			return
-		}
-		seg, err := decodeSegment(d.Payload)
-		c.sock.Pool().Put(d.Payload)
-		if err != nil {
-			continue
-		}
-		c.handleSegment(seg)
-		if c.dead {
-			return
-		}
+// clientRecv is a dialed connection's receive handler.
+func (c *Conn) clientRecv(d netem.Datagram) {
+	if d.Reject {
+		// A mid-connection rejection (policy flipped on): the path is
+		// administratively dead, so tear down like an RST.
+		c.teardown()
+		return
 	}
+	seg, err := decodeSegment(d.Payload)
+	c.sock.Pool().Put(d.Payload)
+	if err != nil {
+		return
+	}
+	c.handleSegment(seg)
 }
 
 // serverLoop drains segments demuxed by the listener.
@@ -402,8 +392,12 @@ func (c *Conn) rearmRtx() {
 		}
 		return
 	}
-	c.rtxTimer = c.w.AfterFunc(c.rto, c.rtxFn)
+	c.rtxTimer = c.w.AfterCall(c.rto, onRtxTimeout, c)
 }
+
+// onRtxTimeout is the retransmission timer's callback; it runs inline
+// in the scheduler.
+func onRtxTimeout(a any) { a.(*Conn).onRtxTimeout() }
 
 func (c *Conn) onRtxTimeout() {
 	if c.dead || len(c.rtxq) == 0 {
@@ -454,7 +448,8 @@ type Listener struct {
 	closed  bool
 }
 
-// Listen binds a listener to port on host and starts its demux task.
+// Listen binds a listener to port on host and installs its demux
+// handler.
 func Listen(host *netem.Host, port uint16) (*Listener, error) {
 	sock, err := host.Listen(netem.ProtoTCP, port, 0)
 	if err != nil {
@@ -466,59 +461,59 @@ func Listen(host *netem.Host, port uint16) (*Listener, error) {
 		conns:   make(map[netip.AddrPort]*Conn),
 		acceptQ: sim.NewQueue[*Conn](host.World(), fmt.Sprintf("tcp-accept:%d", port)),
 	}
-	l.w.Go(l.demux)
+	sock.Handle(l.demux, l.shutdown)
 	return l, nil
 }
 
-func (l *Listener) demux() {
-	for {
-		d, ok := l.sock.Recv()
-		if !ok {
-			// Close connections in a fixed (peer-address) order: map
-			// iteration order would wake blocked tasks nondeterministically.
-			for _, ap := range slices.SortedFunc(maps.Keys(l.conns), netip.AddrPort.Compare) {
-				l.conns[ap].incoming.Close()
-			}
-			l.acceptQ.Close()
+// demux is the listening socket's receive handler: it routes each
+// segment to its connection's task, accepting new connections on SYN.
+func (l *Listener) demux(d netem.Datagram) {
+	if d.Reject {
+		// Rejection notification for one of our sends; the listener
+		// keeps serving other peers.
+		return
+	}
+	seg, err := decodeSegment(d.Payload)
+	l.sock.Pool().Put(d.Payload)
+	if err != nil {
+		return
+	}
+	conn, exists := l.conns[d.Src]
+	if !exists {
+		if seg.flags&flagSYN == 0 {
+			// Stray segment for a finished connection.
 			return
 		}
-		if d.Reject {
-			// Rejection notification for one of our sends; the listener
-			// keeps serving other peers.
-			continue
-		}
-		seg, err := decodeSegment(d.Payload)
-		l.sock.Pool().Put(d.Payload)
-		if err != nil {
-			continue
-		}
-		conn, exists := l.conns[d.Src]
-		if !exists {
-			if seg.flags&flagSYN == 0 {
-				// Stray segment for a finished connection.
-				continue
-			}
-			conn = newConn(l.w, l.sock, false, d.Src)
-			conn.rcvNxt = seg.seq + 1
-			conn.sndNxt = 1
-			conn.sndUna = 0
-			// Static queue name: conns are created per query on hot paths.
-			conn.incoming = sim.NewQueue[segment](l.w, "tcp-in")
-			src := d.Src
-			conn.onClose = func() { delete(l.conns, src) }
-			l.conns[d.Src] = conn
-			conn.send(segment{flags: flagSYN | flagACK, seq: 0, ack: conn.rcvNxt})
-			l.w.Go(conn.serverLoop)
-			l.acceptQ.Push(conn)
-			continue
-		}
-		if seg.flags&flagSYN != 0 {
-			// SYN retransmission: re-send SYN-ACK.
-			conn.send(segment{flags: flagSYN | flagACK, seq: 0, ack: conn.rcvNxt})
-			continue
-		}
-		conn.incoming.Push(seg)
+		conn = newConn(l.w, l.sock, false, d.Src)
+		conn.rcvNxt = seg.seq + 1
+		conn.sndNxt = 1
+		conn.sndUna = 0
+		// Static queue name: conns are created per query on hot paths.
+		conn.incoming = sim.NewQueue[segment](l.w, "tcp-in")
+		src := d.Src
+		conn.onClose = func() { delete(l.conns, src) }
+		l.conns[d.Src] = conn
+		conn.send(segment{flags: flagSYN | flagACK, seq: 0, ack: conn.rcvNxt})
+		l.w.Go(conn.serverLoop)
+		l.acceptQ.Push(conn)
+		return
 	}
+	if seg.flags&flagSYN != 0 {
+		// SYN retransmission: re-send SYN-ACK.
+		conn.send(segment{flags: flagSYN | flagACK, seq: 0, ack: conn.rcvNxt})
+		return
+	}
+	conn.incoming.Push(seg)
+}
+
+// shutdown runs as a task once the listening socket closes.
+func (l *Listener) shutdown() {
+	// Close connections in a fixed (peer-address) order: map
+	// iteration order would wake blocked tasks nondeterministically.
+	for _, ap := range slices.SortedFunc(maps.Keys(l.conns), netip.AddrPort.Compare) {
+		l.conns[ap].incoming.Close()
+	}
+	l.acceptQ.Close()
 }
 
 // Accept blocks for the next incoming connection; ok is false once the
