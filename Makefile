@@ -26,10 +26,9 @@ live-smoke:
 	go test -race -count=1 ./internal/netapi/...
 
 # lint runs the repo's own analyzer suite (cmd/simlint: determinism,
-# pool-ownership, hot-path, layering, backend-purity and dead-API
-# rules), go vet, and staticcheck.
-# simlint fails on any finding not covered by a //simlint:allow pragma or
-# the layering ratchet baseline (internal/lint/layering_baseline.txt).
+# pool-ownership, hot-path, backend-purity and dead-API rules), go vet,
+# and staticcheck.
+# simlint fails on any finding not covered by a //simlint:allow pragma.
 lint:
 	go run ./cmd/simlint ./...
 	go vet ./...
@@ -58,6 +57,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzPrefixReader -fuzztime 10s ./internal/dox
 	go test -run '^$$' -fuzz FuzzParsePacket -fuzztime 10s ./internal/quic
 	go test -run '^$$' -fuzz FuzzParseExchange -fuzztime 10s ./internal/h3
+	go test -run '^$$' -fuzz FuzzH2Frames -fuzztime 10s ./internal/h2
 
 # bench-smoke compiles and runs every benchmark for one iteration, so
 # benchmarks cannot bit-rot.

@@ -1,12 +1,12 @@
 // Command simlint runs the repository's analyzer suite (internal/lint):
-// eight checkers that machine-enforce the determinism, pool-ownership,
-// hot-path, layering and dead-API invariants. Two modes:
+// seven checkers that machine-enforce the determinism, pool-ownership,
+// hot-path, backend-purity and dead-API invariants. Two modes:
 //
 // Standalone multichecker (the `make lint` entry point):
 //
 //	go run ./cmd/simlint ./...
 //	go run ./cmd/simlint -rules maporder,poolown ./internal/...
-//	go run ./cmd/simlint -write-layering-baseline   # ratchet down
+//	go run ./cmd/simlint -list                       # rule catalog
 //
 // Vet tool (per-package, driven by the go command):
 //
@@ -18,10 +18,7 @@
 // whatever the benchmark calls stays live; go vet runs every other rule.
 //
 // Exit status is nonzero when any finding survives //simlint:allow
-// pragmas and the layering baseline. Layering findings are ratcheted:
-// each protocol package may carry at most the sim.World reference count
-// recorded in internal/lint/layering_baseline.txt, so existing debt is
-// tolerated while new debt fails.
+// pragmas.
 package main
 
 import (
@@ -58,10 +55,8 @@ func main() {
 
 func standaloneMain() int {
 	var (
-		rulesFlag     = flag.String("rules", "", "comma-separated rule subset to run (default: all)")
-		baselineFlag  = flag.String("layering-baseline", "", "layering baseline file (default: <module>/internal/lint/layering_baseline.txt)")
-		writeBaseline = flag.Bool("write-layering-baseline", false, "rewrite the layering baseline from current findings and exit")
-		listRules     = flag.Bool("list", false, "print the rule catalog and exit")
+		rulesFlag = flag.String("rules", "", "comma-separated rule subset to run (default: all)")
+		listRules = flag.Bool("list", false, "print the rule catalog and exit")
 	)
 	flag.Parse()
 
@@ -83,11 +78,6 @@ func standaloneMain() int {
 		fmt.Fprintln(os.Stderr, "simlint:", err)
 		return 2
 	}
-	baselinePath := *baselineFlag
-	if baselinePath == "" {
-		baselinePath = filepath.Join(root, "internal", "lint", "layering_baseline.txt")
-	}
-
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -122,34 +112,8 @@ func standaloneMain() int {
 		fmt.Fprintln(os.Stderr, "simlint: deadapi is whole-program and runs only on ./...; skipped")
 	}
 
-	base, err := lint.ReadBaseline(baselinePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simlint:", err)
-		return 2
-	}
-	failing, counts, shrunk := lint.ApplyBaseline(findings, base)
-
-	if *writeBaseline {
-		if err := lint.WriteBaseline(baselinePath, counts); err != nil {
-			fmt.Fprintln(os.Stderr, "simlint:", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "simlint: wrote %s (%d packages)\n", baselinePath, len(counts))
-		// Non-layering findings still fail the run.
-		failing = failing[:0]
-		for _, f := range findings {
-			if f.Rule != lint.Layering.Name {
-				failing = append(failing, f)
-			}
-		}
-	}
-
-	printFindings(failing, root)
-	if len(shrunk) > 0 && !*writeBaseline {
-		fmt.Fprintf(os.Stderr, "simlint: layering debt shrank (%s); ratchet down with -write-layering-baseline\n",
-			strings.Join(shrunk, ", "))
-	}
-	if len(failing) > 0 {
+	printFindings(findings, root)
+	if len(findings) > 0 {
 		return 1
 	}
 	return 0

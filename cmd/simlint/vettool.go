@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/lint"
@@ -98,17 +97,10 @@ func vettoolMain(cfgPath string) int {
 		return 2
 	}
 
-	base := lint.Baseline{}
-	if root, err := moduleRoot(cfg.Dir); err == nil {
-		if b, err := lint.ReadBaseline(filepath.Join(root, "internal", "lint", "layering_baseline.txt")); err == nil {
-			base = b
-		}
-	}
-	failing, _, _ := lint.ApplyBaseline(findings, base)
-	for _, f := range failing {
+	for _, f := range findings {
 		fmt.Fprintf(os.Stderr, "%s:%d:%d: %s [%s]\n", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Message, f.Rule)
 	}
-	if len(failing) > 0 {
+	if len(findings) > 0 {
 		return 2
 	}
 	return 0

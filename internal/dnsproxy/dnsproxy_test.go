@@ -623,28 +623,33 @@ func TestStubHitsReturnEveryBuffer(t *testing.T) {
 	}
 }
 
-// TestSchedulerHandoffsPerQuery pins the kernel work of one stub query
-// over DoUDP, counted in goroutine handoffs (sim.World.Stats). A stub
-// cache hit wakes the proxy's forward task and the stub; an upstream
-// exchange also starts the resolver's query task, wakes it from its
-// processing delay, and wakes the forward task when the answer
-// arrives. Datagram delivery and the receive handlers of the proxy,
-// the DoUDP client and the resolver run inline, so a receive path that
+// TestSchedulerHandoffsPerQuery pins the kernel work of one stub query,
+// counted in goroutine handoffs and task spawns (sim.World.Stats). Over
+// DoUDP, a stub cache hit wakes the proxy's forward task and the stub;
+// an upstream exchange also starts the resolver's query task, wakes it
+// from its processing delay, and wakes the forward task when the answer
+// arrives. Datagram delivery and the receive handlers of the proxy, the
+// DoUDP client and the resolver run inline, so a receive path that
 // parks a reader task again shows up here as one extra handoff per
-// datagram it reads.
+// datagram it reads. Over DoTCP the resolver's segments are handled
+// inline too: a server connection that parked a task on its segment
+// queue would add a handoff for every segment it received.
 func TestSchedulerHandoffsPerQuery(t *testing.T) {
+	const queries = 20
 	for _, tc := range []struct {
 		name     string
+		upstream dox.Protocol
 		cache    bool
 		handoffs uint64 // per query, in steady state
-		inline   uint64 // AfterCall callbacks per query
+		spawns   uint64 // tasks started per query
+		inline   uint64 // AfterCall callbacks over all the queries
 	}{
-		{"stub-hit", true, 2, 2},
-		{"upstream-exchange", false, 5, 5},
+		{"stub-hit", dox.DoUDP, true, 2, 1, 2 * queries},
+		{"upstream-exchange", dox.DoUDP, false, 5, 2, 5 * queries},
+		{"dotcp-upstream-exchange", dox.DoTCP, false, 8, 2, 361},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			u, p := setup(t, dox.DoUDP, func(c *Config) { c.StubCache = tc.cache })
-			const queries = 20
+			u, p := setup(t, tc.upstream, func(c *Config) { c.StubCache = tc.cache })
 			var d sim.Stats
 			u.W.Go(func() {
 				sock := u.Vantages[0].Host.Dial(netem.ProtoUDP, 8)
@@ -677,8 +682,11 @@ func TestSchedulerHandoffsPerQuery(t *testing.T) {
 			if got := d.Handoffs; got != tc.handoffs*queries {
 				t.Errorf("handoffs = %.2f per query, want %d", float64(got)/queries, tc.handoffs)
 			}
-			if got := d.Inline; got != tc.inline*queries {
-				t.Errorf("inline callbacks = %.2f per query, want %d", float64(got)/queries, tc.inline)
+			if got := d.Spawns; got != tc.spawns*queries {
+				t.Errorf("spawns = %.2f per query, want %d", float64(got)/queries, tc.spawns)
+			}
+			if got := d.Inline; got != tc.inline {
+				t.Errorf("inline callbacks = %d over %d queries, want %d", got, queries, tc.inline)
 			}
 		})
 	}

@@ -6,20 +6,28 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// backendConsumerPkgNames are the packages written against the netapi
-// backend seam: protocol clients, the stub proxy, the HTTP layers and
-// the browser model. They reach scheduling and sockets only through
-// netapi.Backend, so the identical code runs on simnet and livenet;
-// a direct simulation-stack import would silently re-couple them to
-// one backend. The sim-stack packages themselves (quic, tcpsim,
-// tlsmini) are deliberately absent — they ARE the simulation transport.
-var backendConsumerPkgNames = map[string]bool{
+// portablePkgNames are the packages that must run unchanged on either
+// backend, so they may not import the simulation kernel or the network
+// emulator:
+//
+//   - browser, dnsproxy, dox, dox/racing, h2 and h3 are written against
+//     the netapi seam and reach scheduling and sockets only through
+//     netapi.Backend;
+//   - dnsmsg and tlsmini are pure codecs the seam's consumers share,
+//     and tlsmini is in livenet's import graph, so a kernel import there
+//     would reach the live backend.
+//
+// quic and tcpsim are absent: they are the simulation transport, built
+// on netem.Socket, and only netapi/simnet reaches them.
+var portablePkgNames = map[string]bool{
 	"browser":  true,
+	"dnsmsg":   true,
 	"dnsproxy": true,
 	"dox":      true,
 	"h2":       true,
 	"h3":       true,
 	"racing":   true,
+	"tlsmini":  true,
 }
 
 // BackendPurity enforces the backend seam at the import graph.
@@ -32,13 +40,16 @@ Two import rules keep the backend seam honest:
   - netapi/livenet must not import internal/sim or internal/netem: the
     live backend exists so real sockets can replace the simulation, and
     a kernel import would drag virtual time into live measurements.
-  - backend-consumer packages (dox, dnsproxy, browser, h2, h3) must not
-    import internal/sim or internal/netem directly; everything they
-    need from a runtime arrives via netapi.Backend. (netapi/simnet is
-    the one sanctioned adapter between the seam and the kernel.)
+  - the backend-portable packages must not import internal/sim or
+    internal/netem either: the seam's consumers (browser, dnsproxy,
+    dox, dox/racing, h2, h3), which get everything they need from a
+    runtime via netapi.Backend, and the codecs they share (dnsmsg,
+    tlsmini). netapi/simnet is the one sanctioned adapter between the
+    seam and the kernel; quic and tcpsim are the simulation transport
+    behind it.
 
-Violations are hard errors, not ratcheted: the seam held at zero when
-it was introduced and must stay there.`,
+Violations are hard errors: the seam held at zero when it was
+introduced and must stay there.`,
 	Run: runBackendPurity,
 }
 
@@ -54,11 +65,10 @@ func isNetemPkgPath(path string) bool {
 	return isInternalPkg(path) && segs[len(segs)-1] == "netem"
 }
 
-// isBackendConsumerPkg reports whether path is written against the
-// netapi seam.
-func isBackendConsumerPkg(path string) bool {
+// isPortablePkg reports whether path must run on either backend.
+func isPortablePkg(path string) bool {
 	segs := pathSegments(path)
-	return isInternalPkg(path) && backendConsumerPkgNames[segs[len(segs)-1]]
+	return isInternalPkg(path) && portablePkgNames[segs[len(segs)-1]]
 }
 
 func runBackendPurity(pass *analysis.Pass) error {
@@ -67,8 +77,8 @@ func runBackendPurity(pass *analysis.Pass) error {
 	switch {
 	case isLivenetPkg(pkgPath):
 		role = "the live backend"
-	case isBackendConsumerPkg(pkgPath):
-		role = "a backend-seam consumer"
+	case isPortablePkg(pkgPath):
+		role = "backend-portable"
 	default:
 		return nil
 	}

@@ -93,7 +93,7 @@ func RunDeadAPI(pkgs []*loader.Package) ([]Finding, error) {
 		d.check(pkg, func(pos token.Pos, msg string) {
 			if !pragmas.allowed(pos, DeadAPI.Name) {
 				out = append(out, Finding{
-					Pos: pkg.Fset.Position(pos), Rule: DeadAPI.Name, Message: msg, PkgPath: pkg.Path,
+					Pos: pkg.Fset.Position(pos), Rule: DeadAPI.Name, Message: msg,
 				})
 			}
 		})

@@ -1,4 +1,4 @@
-// Package lint is the simlint analyzer suite: eight static checkers
+// Package lint is the simlint analyzer suite: seven static checkers
 // that machine-enforce the invariants this repository otherwise
 // guarantees only by convention and after-the-fact runtime tests.
 //
@@ -11,20 +11,18 @@
 //	             use-after-Put
 //	hotalloc     no closures, fmt, or interface boxing in functions
 //	             marked //simlint:hotpath
-//	layering     protocol packages do not reference sim.World directly
-//	             (ratcheted by a committed baseline)
-//	backendpurity  netapi/livenet never imports sim/netem, and
-//	             backend-seam consumers (dox, dnsproxy, browser, h2,
-//	             h3) reach the runtime only through netapi
+//	backendpurity  neither netapi/livenet nor the backend-portable
+//	             packages (the seam's consumers plus the dnsmsg and
+//	             tlsmini codecs) import sim or netem
 //	deadapi      no declaration under internal/ that only its own
 //	             package's tests reference, and no *Config/*Options
 //	             field that nothing writes (whole-program: standalone
 //	             simlint on ./... only, with bench/ loaded; go vet runs
-//	             the other seven)
+//	             the other six)
 //
 // Intentional exceptions are recorded in the source as
 // //simlint:allow <rule> <reason>; the reason is mandatory. See
-// DESIGN.md §9 for the rule catalog and the layering-ratchet workflow.
+// DESIGN.md §9 for the rule catalog.
 package lint
 
 import (
@@ -39,7 +37,6 @@ import (
 var Analyzers = []*analysis.Analyzer{
 	BackendPurity,
 	HotAlloc,
-	Layering,
 	MapOrder,
 	NoWallClock,
 	PoolOwn,
@@ -64,7 +61,6 @@ type Finding struct {
 	Pos     token.Position
 	Rule    string
 	Message string
-	PkgPath string
 }
 
 // Run applies analyzers to every package and returns the surviving
@@ -76,7 +72,7 @@ func Run(pkgs []*loader.Package, analyzers []*analysis.Analyzer) ([]Finding, err
 	for _, pkg := range pkgs {
 		pragmas := scanPragmas(pkg.Fset, pkg.Files, ruleNames, func(pos token.Pos, msg string) {
 			out = append(out, Finding{
-				Pos: pkg.Fset.Position(pos), Rule: "pragma", Message: msg, PkgPath: pkg.Path,
+				Pos: pkg.Fset.Position(pos), Rule: "pragma", Message: msg,
 			})
 		})
 		for _, a := range analyzers {
@@ -92,7 +88,7 @@ func Run(pkgs []*loader.Package, analyzers []*analysis.Analyzer) ([]Finding, err
 					return
 				}
 				out = append(out, Finding{
-					Pos: pkg.Fset.Position(d.Pos), Rule: a.Name, Message: d.Message, PkgPath: pkg.Path,
+					Pos: pkg.Fset.Position(d.Pos), Rule: a.Name, Message: d.Message,
 				})
 			}
 			if err := a.Run(pass); err != nil {

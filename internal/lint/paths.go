@@ -29,28 +29,6 @@ func isCmdPkg(path string) bool {
 	return false
 }
 
-// protocolPkgNames are the wire-protocol implementation packages the
-// layering rule keeps off sim.World: the ROADMAP's multi-backend
-// refactor needs protocol code bound to a narrow scheduling interface,
-// not to the concrete kernel. netem is deliberately absent — the network
-// emulator is kernel-adjacent infrastructure, not protocol code.
-var protocolPkgNames = map[string]bool{
-	"dnsmsg":   true,
-	"dnsproxy": true,
-	"dox":      true,
-	"h2":       true,
-	"h3":       true,
-	"quic":     true,
-	"tcpsim":   true,
-	"tlsmini":  true,
-}
-
-// isProtocolPkg reports whether path is one of the protocol packages.
-func isProtocolPkg(path string) bool {
-	segs := pathSegments(path)
-	return isInternalPkg(path) && protocolPkgNames[segs[len(segs)-1]]
-}
-
 // isSimPkgPath reports whether path is the simulation kernel package
 // (last segment exactly "sim" under an internal tree).
 func isSimPkgPath(path string) bool {

@@ -4,8 +4,8 @@ package dox
 
 import (
 	"repro/internal/netapi"
-	"repro/internal/netem" // want `dox is a backend-seam consumer and must not import the network emulator`
-	"repro/internal/sim"   // want `dox is a backend-seam consumer and must not import the simulation kernel`
+	"repro/internal/netem" // want `dox is backend-portable and must not import the network emulator`
+	"repro/internal/sim"   // want `dox is backend-portable and must not import the simulation kernel`
 )
 
 type Client struct {

@@ -1,16 +1,13 @@
-// Package h2 is a fixture protocol package for the layering rule.
+// Package h2 is a fixture backend-seam consumer that reaches into the
+// simulation kernel: the import is flagged once, not each use of it.
 package h2
 
-import "repro/internal/sim"
+import "repro/internal/sim" // want `h2 is backend-portable and must not import the simulation kernel`
 
 type Conn struct {
-	w *sim.World // want `protocol package h2 references sim\.World directly`
+	w *sim.World
 }
 
-func Dial(w *sim.World) *Conn { // want `protocol package h2 references sim\.World directly`
-	return &Conn{w: w}
-}
-
-func Attach(w *sim.World) *Conn { //simlint:allow layering transitional constructor until the scheduler interface lands
+func Dial(w *sim.World) *Conn {
 	return &Conn{w: w}
 }

@@ -1,5 +1,5 @@
-// Package measurelike shows the layering rule scoping: measurement
-// orchestration is not a protocol package, so it may hold sim.World.
+// Package measurelike shows the backendpurity rule's scope: measurement
+// orchestration is not backend-portable, so it may hold sim.World.
 package measurelike
 
 import "repro/internal/sim"

@@ -5,8 +5,8 @@ package racing
 
 import (
 	"repro/internal/netapi"
-	"repro/internal/netem" // want `racing is a backend-seam consumer and must not import the network emulator`
-	"repro/internal/sim"   // want `racing is a backend-seam consumer and must not import the simulation kernel`
+	"repro/internal/netem" // want `racing is backend-portable and must not import the network emulator`
+	"repro/internal/sim"   // want `racing is backend-portable and must not import the simulation kernel`
 )
 
 type Stub struct {

@@ -120,13 +120,12 @@ type Conn struct {
 	srtt     time.Duration
 	sentAt   map[uint32]time.Duration // seq -> send time for RTT samples
 
-	readQ    *sim.Queue[[]byte]
-	ooo      map[uint32]segment  // out-of-order segments by sequence
-	incoming *sim.Queue[segment] // server-side demuxed segments
-	onClose  func()              // listener's demux-map removal hook
-	dead     bool
-	sentFIN  bool
-	gotFIN   bool
+	readQ   *sim.Queue[[]byte]
+	ooo     map[uint32]segment // out-of-order segments by sequence
+	onClose func()             // listener's demux-map removal hook
+	dead    bool
+	sentFIN bool
+	gotFIN  bool
 }
 
 // Stats returns the client-side byte counters of the underlying socket
@@ -216,21 +215,6 @@ func (c *Conn) clientRecv(d netem.Datagram) {
 		return
 	}
 	c.handleSegment(seg)
-}
-
-// serverLoop drains segments demuxed by the listener.
-func (c *Conn) serverLoop() {
-	for {
-		seg, ok := c.incoming.Pop()
-		if !ok {
-			c.teardown()
-			return
-		}
-		c.handleSegment(seg)
-		if c.dead {
-			return
-		}
-	}
 }
 
 func (c *Conn) handleSegment(seg segment) {
@@ -428,9 +412,6 @@ func (c *Conn) teardown() {
 	c.rtxTimer.Stop()
 	c.rtxTimer = sim.Timer{}
 	c.readQ.Close()
-	if c.incoming != nil {
-		c.incoming.Close()
-	}
 	if c.owned {
 		c.sock.Close()
 	}
@@ -465,8 +446,10 @@ func Listen(host *netem.Host, port uint16) (*Listener, error) {
 	return l, nil
 }
 
-// demux is the listening socket's receive handler: it routes each
-// segment to its connection's task, accepting new connections on SYN.
+// demux is the listening socket's receive handler: it hands each
+// segment to its connection, accepting new connections on SYN. Like a
+// dialed connection's clientRecv, it runs the segment through
+// handleSegment inline; no task is parked per server connection.
 func (l *Listener) demux(d netem.Datagram) {
 	if d.Reject {
 		// Rejection notification for one of our sends; the listener
@@ -488,13 +471,10 @@ func (l *Listener) demux(d netem.Datagram) {
 		conn.rcvNxt = seg.seq + 1
 		conn.sndNxt = 1
 		conn.sndUna = 0
-		// Static queue name: conns are created per query on hot paths.
-		conn.incoming = sim.NewQueue[segment](l.w, "tcp-in")
 		src := d.Src
 		conn.onClose = func() { delete(l.conns, src) }
 		l.conns[d.Src] = conn
 		conn.send(segment{flags: flagSYN | flagACK, seq: 0, ack: conn.rcvNxt})
-		l.w.Go(conn.serverLoop)
 		l.acceptQ.Push(conn)
 		return
 	}
@@ -503,24 +483,26 @@ func (l *Listener) demux(d netem.Datagram) {
 		conn.send(segment{flags: flagSYN | flagACK, seq: 0, ack: conn.rcvNxt})
 		return
 	}
-	conn.incoming.Push(seg)
+	conn.handleSegment(seg)
 }
 
-// shutdown runs as a task once the listening socket closes.
+// shutdown runs as a task once the listening socket closes. It wakes
+// the acceptor first, then tears the connections down in a fixed
+// (peer-address) order, since map iteration order would wake their
+// readers nondeterministically. Each teardown removes its conn from
+// l.conns.
 func (l *Listener) shutdown() {
-	// Close connections in a fixed (peer-address) order: map
-	// iteration order would wake blocked tasks nondeterministically.
-	for _, ap := range slices.SortedFunc(maps.Keys(l.conns), netip.AddrPort.Compare) {
-		l.conns[ap].incoming.Close()
-	}
 	l.acceptQ.Close()
+	for _, ap := range slices.SortedFunc(maps.Keys(l.conns), netip.AddrPort.Compare) {
+		l.conns[ap].teardown()
+	}
 }
 
 // Accept blocks for the next incoming connection; ok is false once the
 // listener is closed.
 func (l *Listener) Accept() (*Conn, bool) { return l.acceptQ.Pop() }
 
-// Close shuts the listener and all its connections' demux queues.
+// Close shuts the listener and tears down all its connections.
 func (l *Listener) Close() {
 	if l.closed {
 		return

@@ -3,6 +3,7 @@ package tcpsim
 import (
 	"bytes"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -337,6 +338,69 @@ func TestListenerMapCleanupAfterClose(t *testing.T) {
 	tn.w.Run()
 	if len(l.conns) != 0 {
 		t.Errorf("listener still tracks %d conns after teardown", len(l.conns))
+	}
+}
+
+// TestListenerCloseTearsDownConns closes a listener under two live
+// server conns, each with a Read parked on it, and a parked Accept.
+// Every parked call returns ok=false, the acceptor waking first and
+// then the readers in peer-address order, and no conn is left tracked.
+func TestListenerCloseTearsDownConns(t *testing.T) {
+	tn := newTestNet(3, netem.PathParams{Delay: 10 * time.Millisecond})
+	l, err := Listen(tn.server, 853)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var woke []string
+	tn.w.Go(func() {
+		for i := 0; i < 2; i++ {
+			c, ok := l.Accept()
+			if !ok {
+				t.Error("accept failed before Close")
+				return
+			}
+			tn.w.Go(func() {
+				if _, ok := c.Read(); ok {
+					t.Error("server Read returned data")
+				}
+				woke = append(woke, "read "+c.RemoteAddr().String())
+			})
+		}
+		if _, ok := l.Accept(); ok {
+			t.Error("Accept returned a conn after Close")
+		}
+		woke = append(woke, "accept")
+	})
+	var peers []string
+	for i := 0; i < 2; i++ {
+		tn.w.Go(func() {
+			c, err := Dial(tn.client, l.Addr())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			peers = append(peers, c.LocalAddr().String())
+		})
+	}
+	tn.w.Go(func() {
+		tn.w.Sleep(time.Second)
+		l.Close()
+	})
+	tn.w.Run()
+
+	slices.Sort(peers)
+	want := []string{"accept"}
+	for _, p := range peers {
+		want = append(want, "read "+p)
+	}
+	if !slices.Equal(woke, want) {
+		t.Errorf("wake order = %q, want %q", woke, want)
+	}
+	if len(l.conns) != 0 {
+		t.Errorf("listener still tracks %d conns after Close", len(l.conns))
+	}
+	if b := tn.w.Blocked(); len(b) != 0 {
+		t.Errorf("tasks still blocked after Close: %v", b)
 	}
 }
 
