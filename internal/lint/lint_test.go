@@ -40,8 +40,16 @@ func TestBackendPurity(t *testing.T) {
 		"repro/internal/netapi/simnet",
 		"repro/internal/dox",
 		"repro/internal/racing",
-		"repro/internal/h2",
 		"repro/internal/tlsmini",
+	)
+}
+
+// TestLayering checks the layering boundary that backendpurity now guards:
+// a protocol package (h2) importing the simulator is flagged, and a
+// measurement package (measurelike) that drives the simulator is not.
+func TestLayering(t *testing.T) {
+	analysistest.Run(t, "testdata", lint.BackendPurity,
+		"repro/internal/h2",
 		"repro/internal/measurelike",
 	)
 }
