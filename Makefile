@@ -87,11 +87,11 @@ bench-check:
 determinism:
 	go test -count=1 -run 'Deterministic|Golden' ./...
 
-# loc prints the non-test Go lines of each internal/ package, then the
-# non-test Go lines of the whole tree outside bench/: the size figure a
-# simplification change reports before and after.
+# loc prints the non-test Go lines of each internal/, cmd/ and examples/
+# package, then the non-test Go lines of the whole tree outside bench/:
+# the size figure a simplification change reports before and after.
 loc:
-	@for d in $$(find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec dirname {} \; | sort -u); do \
+	@for d in $$(find internal cmd examples -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec dirname {} \; | sort -u); do \
 		printf '%7d  %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; \
 	done
 	@printf '%7d  total outside bench/\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)

@@ -1,153 +1,37 @@
-// Command dnsperf runs the single-query campaign (the paper's DNSPerf
-// methodology): cache-warming query, then a measured query on a fresh
-// session with TLS Session Resumption, the cached QUIC version and the
-// address-validation token.
-//
-// Campaigns execute as sharded parallel campaigns: -parallel N sizes the
-// worker pool (default GOMAXPROCS) and scales wall time only — for a
-// fixed seed, stdout is byte-identical at any -parallel level (timings
-// go to stderr).
+// Command dnsperf measures a real resolver with the paper's DNSPerf
+// pattern: a cache-warming query, then a measured query on a fresh
+// session, per transport, over the operating system's sockets (the
+// netapi/livenet backend). The simulated campaigns live in
+// cmd/experiments.
 //
 // Usage:
 //
-//	dnsperf [-resolvers N] [-rounds N] [-seed N] [-parallel N]
-//	        [-handshake] [-resolve] [-sizes] [-versions]
-//	        [-no-resumption] [-zero-rtt] [-doh3] [-workload] [-cached]
-//	        [-coalesce] [-serve-stale] [-prefetch]
-//	        [-race-transports] [-policy NAME] [-failover]
-//	dnsperf -backend live -server <ip[:port]> [-server-name NAME]
+//	dnsperf -server <ip[:port]> [-server-name NAME]
 //	        [-protocols do53,tcp,dot,doh] [-domain NAME]
-//	        [-dot-port N] [-doh-port N] [-insecure]
-//
-// Without selection flags it prints all four reports. -backend selects
-// the netapi backend: "sim" (default) runs the deterministic campaigns;
-// "live" sends the same clients' Do53/DoT/DoH queries to a real
-// resolver over the operating system's sockets.
+//	        [-dot-port N] [-doh-port N] [-insecure] [-seed N]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"time"
-
-	"repro/internal/experiments"
 )
 
 func main() {
-	resolvers := flag.Int("resolvers", 48, "verified resolver population (paper: 313)")
-	rounds := flag.Int("rounds", 1, "campaign rounds (paper: 84, every 2h for a week)")
-	seed := flag.Int64("seed", 2022, "simulation seed")
-	parallel := flag.Int("parallel", 0, "campaign worker pool size (0 = GOMAXPROCS; affects speed, never results)")
-	handshake := flag.Bool("handshake", false, "Fig. 2a handshake-time matrix")
-	resolve := flag.Bool("resolve", false, "Fig. 2b resolve-time matrix")
-	sizes := flag.Bool("sizes", false, "Table 1 size medians")
-	versions := flag.Bool("versions", false, "§3 version/feature shares")
-	noResumption := flag.Bool("no-resumption", false, "E10 ablation: cold sessions")
-	zeroRTT := flag.Bool("zero-rtt", false, "E11 ablation: 0-RTT resolvers")
-	doh3 := flag.Bool("doh3", false, "E13/E14: sixth-transport (DoH3) sizes and timing")
-	workload := flag.Bool("workload", false, "E16: Zipf cache-workload hit-ratio grid")
-	cached := flag.Bool("cached", false, "E17: cached vs uncached resolve medians (lossless baseline)")
-	coalesce := flag.Bool("coalesce", false, "E22: in-flight query coalescing under aligned stub cohorts")
-	serveStale := flag.Bool("serve-stale", false, "E23: RFC 8767 serve-stale availability across an upstream outage")
-	prefetch := flag.Bool("prefetch", false, "E24: TTL-expiry prefetch of the Zipf head")
-	raceTransports := flag.Bool("race-transports", false, "E25: happy-eyeballs racing ladder under middlebox fault policies")
-	policy := flag.String("policy", "", "E25: restrict the middlebox grid to one policy (open, drop-udp-853, reject-udp-853, blackhole-udp, rst-tcp-853); implies -race-transports")
-	failover := flag.Bool("failover", false, "E27: multi-upstream failover through a primary-resolver outage")
-	backend := flag.String("backend", "sim", "netapi backend: sim (deterministic campaigns) or live (real sockets)")
-	server := flag.String("server", "", "live target resolver, ip or ip:port (required with -backend live)")
-	serverName := flag.String("server-name", "", "live TLS server name (default: the server address)")
-	protocols := flag.String("protocols", "do53,tcp,dot", "live transports to measure (do53,tcp,dot,doh)")
-	domain := flag.String("domain", "example.com", "live query name")
-	dotPort := flag.Uint("dot-port", 853, "live DoT port")
-	dohPort := flag.Uint("doh-port", 443, "live DoH port")
-	insecure := flag.Bool("insecure", false, "live: skip TLS certificate verification")
+	server := flag.String("server", "", "target resolver, ip or ip:port (required)")
+	serverName := flag.String("server-name", "", "TLS server name (default: the server address)")
+	protocols := flag.String("protocols", "do53,tcp,dot", "transports to measure (do53,tcp,dot,doh)")
+	domain := flag.String("domain", "example.com", "query name")
+	dotPort := flag.Uint("dot-port", 853, "DoT port")
+	dohPort := flag.Uint("doh-port", 443, "DoH port")
+	insecure := flag.Bool("insecure", false, "skip TLS certificate verification")
+	seed := flag.Int64("seed", 2022, "seed of the query-ID stream")
 	flag.Parse()
 
-	switch *backend {
-	case "sim":
-	case "live":
-		if *server == "" {
-			fmt.Fprintln(os.Stderr, "dnsperf: -backend live requires -server")
-			os.Exit(2)
-		}
-		os.Exit(runLive(*server, *serverName, *protocols, *domain,
-			uint16(*dotPort), uint16(*dohPort), *insecure, *seed))
-	default:
-		fmt.Fprintf(os.Stderr, "dnsperf: unknown -backend %q (want sim or live)\n", *backend)
+	if *server == "" {
+		fmt.Fprintln(os.Stderr, "dnsperf: -server is required")
 		os.Exit(2)
 	}
-
-	cfg := experiments.Default()
-	cfg.Seed = *seed
-	cfg.Resolvers = *resolvers
-	cfg.Rounds = *rounds
-	cfg.Parallelism = *parallel
-	if *parallel > 0 {
-		// -parallel N is a CPU budget: capping GOMAXPROCS bounds actual
-		// simultaneous shard execution at N.
-		runtime.GOMAXPROCS(*parallel)
-	}
-	runner := experiments.NewRunner(cfg)
-
-	ids := []string{}
-	if *versions {
-		ids = append(ids, "E3")
-	}
-	if *sizes {
-		ids = append(ids, "E4")
-	}
-	if *handshake {
-		ids = append(ids, "E5")
-	}
-	if *resolve {
-		ids = append(ids, "E6")
-	}
-	if *noResumption {
-		ids = append(ids, "E10")
-	}
-	if *zeroRTT {
-		ids = append(ids, "E11")
-	}
-	if *doh3 {
-		ids = append(ids, "E13", "E14")
-	}
-	if *workload {
-		ids = append(ids, "E16")
-	}
-	if *cached {
-		ids = append(ids, "E17")
-	}
-	if *coalesce {
-		ids = append(ids, "E22")
-	}
-	if *serveStale {
-		ids = append(ids, "E23")
-	}
-	if *prefetch {
-		ids = append(ids, "E24")
-	}
-	if *raceTransports || *policy != "" {
-		cfg.RacingPolicy = *policy
-		runner = experiments.NewRunner(cfg)
-		ids = append(ids, "E25")
-	}
-	if *failover {
-		ids = append(ids, "E27")
-	}
-	if len(ids) == 0 {
-		ids = []string{"E3", "E4", "E5", "E6"}
-	}
-	start := time.Now()
-	for _, id := range ids {
-		e, _ := experiments.ByID(id)
-		out, err := e.Run(runner)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
-			os.Exit(1)
-		}
-		fmt.Println(out)
-	}
-	fmt.Fprintf(os.Stderr, "%d reports in %.1fs\n", len(ids), time.Since(start).Seconds())
+	os.Exit(runLive(*server, *serverName, *protocols, *domain,
+		uint16(*dotPort), uint16(*dohPort), *insecure, *seed))
 }

@@ -7,6 +7,9 @@
 // migration, failover; see DESIGN.md §4 for the experiment index). By
 // default it runs all twenty-seven experiments at a fast,
 // shape-preserving scale; -full uses the paper's population sizes.
+// -id runs a comma-separated subset in the order given: the §2 scan
+// funnel is E1 (E1,E2 adds Fig. 1), Table 1 and Fig. 2 are E3–E6, and
+// Fig. 3 and Fig. 4 are E7–E9.
 //
 // Campaigns execute as sharded parallel campaigns: -parallel N sizes the
 // worker pool (default GOMAXPROCS). Parallelism scales wall time only —
@@ -15,7 +18,7 @@
 //
 // Usage:
 //
-//	experiments [-full] [-id E4] [-seed N] [-parallel N]
+//	experiments [-full] [-id E4[,E5...]] [-seed N] [-parallel N]
 package main
 
 import (
@@ -23,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"repro/internal/experiments"
@@ -30,7 +34,7 @@ import (
 
 func main() {
 	full := flag.Bool("full", false, "paper-scale campaigns (slow)")
-	id := flag.String("id", "", "run a single experiment (e.g. E4)")
+	id := flag.String("id", "", "run these experiments, comma-separated, in order (e.g. E4 or E5,E4)")
 	seed := flag.Int64("seed", 0, "override the campaign seed")
 	parallel := flag.Int("parallel", 0, "campaign worker pool size (0 = GOMAXPROCS; affects speed, never results)")
 	list := flag.Bool("list", false, "list experiments and exit")
@@ -43,6 +47,11 @@ func main() {
 		return
 	}
 
+	run, err := selectIDs(*id)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%v (try -list)\n", err)
+		os.Exit(1)
+	}
 	cfg := experiments.Default()
 	if *full {
 		cfg = experiments.Full()
@@ -60,15 +69,6 @@ func main() {
 	}
 	runner := experiments.NewRunner(cfg)
 
-	run := experiments.All()
-	if *id != "" {
-		e, ok := experiments.ByID(*id)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", *id)
-			os.Exit(1)
-		}
-		run = []experiments.Experiment{e}
-	}
 	start := time.Now()
 	failed := 0
 	// Reports stream in input order as they complete, so long -full runs
@@ -88,4 +88,22 @@ func main() {
 	if failed > 0 {
 		os.Exit(1)
 	}
+}
+
+// selectIDs resolves the -id list: every experiment for "", otherwise
+// each comma-separated, space-trimmed ID in the order given.
+func selectIDs(list string) ([]experiments.Experiment, error) {
+	if list == "" {
+		return experiments.All(), nil
+	}
+	var run []experiments.Experiment
+	for _, id := range strings.Split(list, ",") {
+		id = strings.TrimSpace(id)
+		e, ok := experiments.ByID(id)
+		if !ok {
+			return nil, fmt.Errorf("unknown experiment %q", id)
+		}
+		run = append(run, e)
+	}
+	return run, nil
 }

@@ -52,9 +52,6 @@ type Config struct {
 	// genuinely lossless configuration uses resolver.NoLoss (E17 builds
 	// its clean cached baseline that way regardless of this knob).
 	Loss float64
-	// RacingPolicy restricts E25's middlebox grid to one named policy
-	// from measure.MiddleboxPolicies (empty = the full grid).
-	RacingPolicy string
 	// Parallelism sizes the campaign worker pools and the number of
 	// experiments RunAll executes concurrently (0 = GOMAXPROCS). It
 	// scales wall time only: campaign shard plans and seeds never depend

@@ -30,21 +30,10 @@ func runE25(r *Runner) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	rc := measure.RacingConfig{
+	samples, err := measure.RunRacing(measure.RacingConfig{
 		Blueprint:   bp,
 		Parallelism: r.Cfg.Parallelism,
-	}
-	if want := r.Cfg.RacingPolicy; want != "" {
-		for _, pol := range measure.MiddleboxPolicies() {
-			if pol.Name == want {
-				rc.Policies = []measure.MiddleboxPolicy{pol}
-			}
-		}
-		if len(rc.Policies) == 0 {
-			return "", fmt.Errorf("unknown middlebox policy %q", want)
-		}
-	}
-	samples, err := measure.RunRacing(rc)
+	})
 	if err != nil {
 		return "", err
 	}

@@ -15,7 +15,7 @@
 // Campaigns run every client on the vantage's netapi/simnet backend
 // (resolver.Vantage.Backend), the deterministic side of the DESIGN.md
 // §10 seam; the identical client code serves live measurements through
-// cmd/dnsperf -backend live.
+// cmd/dnsperf.
 //
 // Web (§2, §3.2): per [vantage : resolver : protocol] combination a local
 // DNS proxy forwards Chromium's queries upstream; a cache-warming

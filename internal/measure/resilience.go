@@ -67,8 +67,6 @@ type RacingConfig struct {
 	Blueprint   *resolver.Blueprint
 	Parallelism int
 
-	// Policies is the middlebox grid (default MiddleboxPolicies).
-	Policies []MiddleboxPolicy
 	// Queries per [vantage:resolver:policy] cell (default 4): the first
 	// runs the race, the rest measure the sticky steady state.
 	Queries int
@@ -78,29 +76,28 @@ type RacingConfig struct {
 const racingResolverBlock = 4
 
 func (c *RacingConfig) defaults() {
-	if len(c.Policies) == 0 {
-		c.Policies = MiddleboxPolicies()
-	}
 	if c.Queries == 0 {
 		c.Queries = 4
 	}
 }
 
-// RunRacing executes the racing-fallback campaign and returns samples
-// ordered by (vantage, resolver block, resolver, policy, round).
+// RunRacing executes the racing-fallback campaign over the
+// MiddleboxPolicies grid and returns samples ordered by (vantage,
+// resolver block, resolver, policy, round).
 func RunRacing(cfg RacingConfig) ([]RacingSample, error) {
 	cfg.defaults()
+	policies := MiddleboxPolicies()
 	return runSharded(cfg.Blueprint, cfg.Parallelism, racingResolverBlock,
 		func(u *resolver.Universe, vp *resolver.Vantage) []RacingSample {
-			return racingShardBody(u, vp, cfg)
+			return racingShardBody(u, vp, cfg, policies)
 		})
 }
 
-func racingShardBody(u *resolver.Universe, vp *resolver.Vantage, cfg RacingConfig) []RacingSample {
+func racingShardBody(u *resolver.Universe, vp *resolver.Vantage, cfg RacingConfig, policies []MiddleboxPolicy) []RacingSample {
 	var out []RacingSample
 	var qid uint16
 	for idx, res := range u.Resolvers {
-		for _, pol := range cfg.Policies {
+		for _, pol := range policies {
 			// The middlebox sits on the vantage's outbound path; replies
 			// flow freely (blocking the forward direction is enough to
 			// kill the exchange, as real port-blocking middleboxes do).
