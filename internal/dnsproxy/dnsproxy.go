@@ -53,6 +53,21 @@ import (
 // the horizon a once-hot name would be refreshed forever.
 const prefetchIdle = 30 * time.Second
 
+// Serve-stale and prefetch timings.
+const (
+	// staleTTL bounds how far past expiry an entry may still be served
+	// (RFC 8767 suggests 1-3 days, scaled down to campaign timescales).
+	staleTTL = time.Hour
+	// revalidateInterval is the cadence of background revalidation
+	// attempts for stale-served names.
+	revalidateInterval = 2 * time.Second
+	// prefetchMinHits is the hotness threshold in accesses.
+	prefetchMinHits = 3
+	// prefetchLead is how long before expiry the refresh fires (clamped
+	// below the answer TTL).
+	prefetchLead = time.Second
+)
+
 // Config parameterizes a proxy instance.
 type Config struct {
 	// Upstream transport and resolver.
@@ -84,22 +99,10 @@ type Config struct {
 	// ServeStale answers from expired stub-cache entries while the
 	// upstream is unreachable, per RFC 8767 (E23). Requires StubCache.
 	ServeStale bool
-	// StaleTTL bounds how far past expiry an entry may still be served
-	// (default 1h; RFC 8767 suggests 1-3 days, scaled down to campaign
-	// timescales).
-	StaleTTL time.Duration
-	// RevalidateInterval is the cadence of background revalidation
-	// attempts for stale-served names (default 2s).
-	RevalidateInterval time.Duration
 
 	// Prefetch refreshes hot names shortly before their TTL lapses so
 	// the Zipf head stays warm (E24). Requires StubCache.
 	Prefetch bool
-	// PrefetchMinHits is the hotness threshold (default 3 accesses).
-	PrefetchMinHits int
-	// PrefetchLead is how long before expiry the refresh fires (default
-	// 1s, clamped below the answer TTL).
-	PrefetchLead time.Duration
 
 	// RateLimitQPS enables per-client token-bucket rate limiting:
 	// clients exceeding this sustained rate get REFUSED responses.
@@ -195,18 +198,6 @@ func New(be netapi.Backend, cfg Config) (*Proxy, error) {
 	if cfg.ListenPort == 0 {
 		cfg.ListenPort = 5353
 	}
-	if cfg.StaleTTL == 0 {
-		cfg.StaleTTL = time.Hour
-	}
-	if cfg.RevalidateInterval == 0 {
-		cfg.RevalidateInterval = 2 * time.Second
-	}
-	if cfg.PrefetchMinHits == 0 {
-		cfg.PrefetchMinHits = 3
-	}
-	if cfg.PrefetchLead == 0 {
-		cfg.PrefetchLead = time.Second
-	}
 	if cfg.RateLimitBurst == 0 {
 		cfg.RateLimitBurst = 4
 	}
@@ -229,7 +220,7 @@ func New(be netapi.Backend, cfg Config) (*Proxy, error) {
 		p.stub = cache.New(be.Now, cfg.StubCacheCapacity)
 	}
 	if cfg.ServeStale {
-		p.stub.SetStaleCeiling(cfg.StaleTTL)
+		p.stub.SetStaleCeiling(staleTTL)
 		p.revalidating = make(map[cache.Key]bool)
 		p.StaleAge = stats.NewSketch()
 	}
@@ -475,14 +466,14 @@ func (p *Proxy) answerStale(key cache.Key, src netip.AddrPort, id uint16) bool {
 }
 
 // scheduleRevalidate arms (at most one per key) a background refresh of
-// a stale-served entry: retried every RevalidateInterval until the
+// a stale-served entry: retried every revalidateInterval until the
 // upstream recovers or the entry ages past the stale ceiling.
 func (p *Proxy) scheduleRevalidate(key cache.Key) {
 	if p.revalidating[key] {
 		return
 	}
 	p.revalidating[key] = true
-	p.be.AfterFunc(p.cfg.RevalidateInterval, func() { p.revalidate(key) })
+	p.be.AfterFunc(revalidateInterval, func() { p.revalidate(key) })
 }
 
 // revalidate runs one background refresh attempt for key. Timer
@@ -506,7 +497,7 @@ func (p *Proxy) revalidate(key cache.Key) {
 		return
 	}
 	// Still unreachable: keep the marker and retry.
-	p.be.AfterFunc(p.cfg.RevalidateInterval, func() { p.revalidate(key) })
+	p.be.AfterFunc(revalidateInterval, func() { p.revalidate(key) })
 }
 
 // armPrefetch schedules a TTL-expiry refresh for the first A answer of
@@ -524,10 +515,10 @@ func (p *Proxy) armPrefetch(resp *dnsmsg.Message, internal bool) {
 		}
 		key := cache.Key{Name: a.Name, Type: a.Type}
 		ttl := time.Duration(a.TTL) * time.Second
-		if ttl <= 0 || p.prefetchOn[key] || !p.hot.Hot(key, p.cfg.PrefetchMinHits) {
+		if ttl <= 0 || p.prefetchOn[key] || !p.hot.Hot(key, prefetchMinHits) {
 			return
 		}
-		lead := p.cfg.PrefetchLead
+		lead := prefetchLead
 		if ttl <= lead {
 			// The upstream handed down the tail of its own cache entry
 			// (shorter than the lead). Refreshing early would inherit an
@@ -555,7 +546,7 @@ func (p *Proxy) prefetch(key cache.Key) {
 	if p.closed {
 		return
 	}
-	if !p.hot.Hot(key, p.cfg.PrefetchMinHits) || p.be.Now()-p.lastSeen[key] > prefetchIdle {
+	if !p.hot.Hot(key, prefetchMinHits) || p.be.Now()-p.lastSeen[key] > prefetchIdle {
 		delete(p.lastSeen, key)
 		return
 	}

@@ -251,7 +251,6 @@ func TestCoalescingSharesUpstreamExchange(t *testing.T) {
 func TestStaleAnswerTTLCap(t *testing.T) {
 	u, p := outageSetup(t, func(c *Config) {
 		c.ServeStale = true
-		c.StaleTTL = 5 * time.Minute
 	})
 	var fresh, stale *dnsmsg.Message
 	u.W.Go(func() {
@@ -304,8 +303,6 @@ func outageSetup(t *testing.T, mut func(*Config)) (*resolver.Universe, *Proxy) {
 func TestServeStaleAcrossOutage(t *testing.T) {
 	u, p := outageSetup(t, func(c *Config) {
 		c.ServeStale = true
-		c.StaleTTL = 5 * time.Minute
-		c.RevalidateInterval = 2 * time.Second
 	})
 	var warmAddr, staleAddr [4]byte
 	var staleOK, postOK bool
@@ -392,8 +389,6 @@ func TestPrefetchKeepsHotNameWarm(t *testing.T) {
 		},
 		func(c *Config) {
 			c.Prefetch = true
-			c.PrefetchMinHits = 3
-			c.PrefetchLead = time.Second
 		})
 	u.W.Go(func() {
 		// Three queries make the name hot; the third-second one still

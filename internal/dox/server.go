@@ -25,10 +25,9 @@ type ServerConfig struct {
 	Handler  Handler
 	Identity *tlsmini.Identity
 
-	TicketStore           *tlsmini.TicketStore
-	DisableSessionTickets bool
-	AcceptEarlyData       bool
-	TLSVersion            tlsmini.Version // max version; VersionTLS12 forces the legacy flow
+	TicketStore     *tlsmini.TicketStore
+	AcceptEarlyData bool
+	TLSVersion      tlsmini.Version // max version; VersionTLS12 forces the legacy flow
 
 	QUICVersions []uint32
 	DoQALPN      string // the single DoQ version this resolver deploys
@@ -246,14 +245,13 @@ func (s *Server) serveTLS(proto Protocol, conn netapi.StreamConn) {
 		alpn = "h2"
 	}
 	tls := tlsmini.NewConn(conn, tlsmini.Config{
-		ALPN:                  []string{alpn},
-		Identity:              s.cfg.Identity,
-		Version:               s.cfg.TLSVersion,
-		TicketStore:           s.cfg.TicketStore,
-		DisableSessionTickets: s.cfg.DisableSessionTickets,
-		AcceptEarlyData:       s.cfg.AcceptEarlyData,
-		Rand:                  s.be.Rand(),
-		Now:                   s.be.Now,
+		ALPN:            []string{alpn},
+		Identity:        s.cfg.Identity,
+		Version:         s.cfg.TLSVersion,
+		TicketStore:     s.cfg.TicketStore,
+		AcceptEarlyData: s.cfg.AcceptEarlyData,
+		Rand:            s.be.Rand(),
+		Now:             s.be.Now,
 	})
 	if err := tls.Handshake(); err != nil {
 		conn.Close()
@@ -321,11 +319,10 @@ func (s *Server) listenQUIC(proto Protocol, port uint16, alpn string) error {
 		return fmt.Errorf("dox: %v requires a QUIC-capable backend (sim only)", proto)
 	}
 	l, err := ql.ListenQUIC(port, quic.Config{
-		ALPN:                  []string{alpn},
-		Identity:              s.cfg.Identity,
-		TicketStore:           s.cfg.TicketStore,
-		DisableSessionTickets: s.cfg.DisableSessionTickets,
-		AcceptEarlyData:       s.cfg.AcceptEarlyData,
+		ALPN:            []string{alpn},
+		Identity:        s.cfg.Identity,
+		TicketStore:     s.cfg.TicketStore,
+		AcceptEarlyData: s.cfg.AcceptEarlyData,
 		// QUIC mandates TLS 1.3 (RFC 9001); a resolver's TLS 1.2
 		// limitation only affects its TCP-based transports.
 		TLSVersion: 0,

@@ -48,10 +48,6 @@ type Config struct {
 	CacheQueries int
 	// CacheNames sizes the Zipf name universe of those campaigns.
 	CacheNames int
-	// Loss is the path loss rate. Zero selects the 0.3% default; a
-	// genuinely lossless configuration uses resolver.NoLoss (E17 builds
-	// its clean cached baseline that way regardless of this knob).
-	Loss float64
 	// Parallelism sizes the campaign worker pools and the number of
 	// experiments RunAll executes concurrently (0 = GOMAXPROCS). It
 	// scales wall time only: campaign shard plans and seeds never depend
@@ -72,7 +68,6 @@ func Default() Config {
 		ScanScale:    8,
 		CacheQueries: 250,
 		CacheNames:   400,
-		Loss:         0.003,
 	}
 }
 
@@ -133,7 +128,6 @@ func (r *Runner) blueprint(seedOffset int64, resolvers int, mutate func(*resolve
 	return resolver.NewBlueprint(resolver.UniverseConfig{
 		Seed:           r.Cfg.Seed + seedOffset,
 		ResolverCounts: resolver.ScaledCounts(resolvers),
-		Loss:           r.Cfg.Loss,
 		MutateProfile:  mutate,
 	})
 }
@@ -1041,7 +1035,6 @@ func accessGrid[S any](r *Runner, seedOffset int64, resolvers int, run func(*res
 		bp, err := resolver.NewBlueprint(resolver.UniverseConfig{
 			Seed:           r.Cfg.Seed + seedOffset,
 			ResolverCounts: resolver.ScaledCounts(resolvers),
-			Loss:           r.Cfg.Loss,
 			Access:         profile,
 		})
 		if err != nil {
@@ -1088,14 +1081,14 @@ const (
 
 var e20Burst = netem.BurstLoss{PGoodBad: 0.08, PBadGood: 0.25, LossBad: 0.45}
 
-func e20Phases(baseLoss float64) []resolver.PathPhase {
+func e20Phases() []resolver.PathPhase {
 	phases := make([]resolver.PathPhase, e20Steps)
 	for i := range phases {
 		phases[i].At = time.Duration(i) * e20Period
 		if i%2 == 1 {
 			phases[i].Burst = e20Burst
 		} else {
-			phases[i].Loss = baseLoss
+			phases[i].Loss = resolver.DefaultLoss
 		}
 	}
 	return phases
@@ -1117,15 +1110,10 @@ func e20InBurst(at time.Duration) bool {
 
 // burstLossCampaign runs the scheduled burst-loss campaign of E20.
 func (r *Runner) burstLossCampaign() ([]measure.SingleQuerySample, error) {
-	loss := r.Cfg.Loss
-	if loss == 0 {
-		loss = 0.003
-	}
 	bp, err := resolver.NewBlueprint(resolver.UniverseConfig{
 		Seed:           r.Cfg.Seed + 105,
 		ResolverCounts: resolver.ScaledCounts(r.Cfg.Resolvers),
-		Loss:           r.Cfg.Loss,
-		PathPhases:     e20Phases(loss),
+		PathPhases:     e20Phases(),
 	})
 	if err != nil {
 		return nil, err

@@ -25,7 +25,6 @@ func tiny() Config {
 		ScanScale:    32,
 		CacheQueries: 40,
 		CacheNames:   60,
-		Loss:         0.001,
 	}
 }
 

@@ -112,8 +112,7 @@ func runE23(r *Runner) (string, error) {
 		bp, err := resolver.NewBlueprint(resolver.UniverseConfig{
 			Seed:           r.Cfg.Seed + 130,
 			ResolverCounts: resolver.ScaledCounts(r.Cfg.WebResolvers),
-			Loss:           r.Cfg.Loss,
-			PathPhases:     resolver.OutagePhases(r.Cfg.Loss, outStart, outEnd),
+			PathPhases:     resolver.OutagePhases(resolver.DefaultLoss, outStart, outEnd),
 			MutateProfile: func(p *resolver.Profile) {
 				p.ResponseRate = 1
 				p.CacheTTL = ttl

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/dox"
 	"repro/internal/dox/racing"
@@ -101,7 +100,6 @@ func runE26(r *Runner) (string, error) {
 	bp, err := resolver.NewBlueprint(resolver.UniverseConfig{
 		Seed:           r.Cfg.Seed + 160,
 		ResolverCounts: resolver.ScaledCounts(r.Cfg.WebResolvers),
-		Loss:           r.Cfg.Loss,
 		Access:         "wifi",
 	})
 	if err != nil {
@@ -172,13 +170,10 @@ func runE27(r *Runner) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	cfg := measure.FailoverCampaignConfig{
+	samples, err := measure.RunFailoverCampaign(measure.FailoverCampaignConfig{
 		Blueprint:   bp,
 		Parallelism: r.Cfg.Parallelism,
-		OutageStart: 10 * time.Second,
-		OutageEnd:   25 * time.Second,
-	}
-	samples, err := measure.RunFailoverCampaign(cfg)
+	})
 	if err != nil {
 		return "", err
 	}
@@ -199,7 +194,7 @@ func runE27(r *Runner) (string, error) {
 			c.ok++
 			c.resolve.AddDuration(s.Resolve)
 		}
-		if s.At >= cfg.OutageStart && s.At < cfg.OutageEnd {
+		if s.At >= measure.FailoverOutageStart && s.At < measure.FailoverOutageEnd {
 			c.winN++
 			if s.OK {
 				c.winOK++
@@ -211,7 +206,7 @@ func runE27(r *Runner) (string, error) {
 	}
 	t := &report.Table{
 		Title: fmt.Sprintf("E27 — resolver failover through a primary outage [%s, %s) (eject after %d consecutive timeouts)",
-			cfg.OutageStart, cfg.OutageEnd, racing.DefaultEjectAfter),
+			measure.FailoverOutageStart, measure.FailoverOutageEnd, racing.DefaultEjectAfter),
 		Header: []string{"arm", "availability in outage", "served by backup", "answered overall", "resolve p50 (ms)", "resolve p95 (ms)"},
 	}
 	for _, arm := range []string{"pinned", "failover"} {

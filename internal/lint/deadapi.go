@@ -28,8 +28,10 @@ Reports a package-level func, type, const or var, or a method, that
 no non-test code references and no other package's test references
 (interface-satisfying methods and String/Error/Format are live), and
 an exported *Config/*Options field that nothing writes, where a write
-inside the field's own zero check is a default, not a write. Test
-files are matched by syntax.`,
+inside the field's own zero check is a default, not a write, and a
+write that copies another field (x.F = y.G, F: y.G) counts only if
+that field is written in turn. Test files are matched by syntax, and
+their writes count directly.`,
 	Run: func(*analysis.Pass) error {
 		return errors.New("deadapi is whole-program: run it with RunDeadAPI")
 	},
@@ -40,10 +42,11 @@ files are matched by syntax.`,
 // and fields), because each package sees its imports through its own
 // copy of their export data.
 type deadAPI struct {
-	pkgNames map[string]string // import path -> package name
-	used     map[string]bool   // keys referenced from non-test code
-	written  map[string]bool   // field keys written; bare names from tests
-	iface    map[string]bool   // "Name(sig)" of every interface method
+	pkgNames map[string]string   // import path -> package name
+	used     map[string]bool     // keys referenced from non-test code
+	written  map[string]bool     // field keys written; bare names from tests
+	forward  map[string][]string // field key -> the field keys copied into it
+	iface    map[string]bool     // "Name(sig)" of every interface method
 
 	// Syntactic facts from _test.go files: key or name -> the package
 	// directories whose tests mention it.
@@ -61,6 +64,7 @@ func RunDeadAPI(pkgs []*loader.Package) ([]Finding, error) {
 		pkgNames:  map[string]string{},
 		used:      map[string]bool{},
 		written:   map[string]bool{},
+		forward:   map[string][]string{},
 		iface:     map[string]bool{},
 		testQual:  map[string]map[string]bool{},
 		testSel:   map[string]map[string]bool{},
@@ -189,10 +193,10 @@ func objKey(obj types.Object) string {
 	return obj.Pkg().Path() + "." + obj.Name()
 }
 
-// scanCode records what pkg's non-test files reference and which
-// config fields they write. A declaration's references to itself (a
-// recursive call, a self-referential type) do not count, and neither
-// does a method's receiver type.
+// scanCode records what pkg's non-test files reference, which fields
+// they write, and which fields they copy into others. A declaration's
+// references to itself (a recursive call, a self-referential type) do
+// not count, and neither does a method's receiver type.
 func (d *deadAPI) scanCode(pkg *loader.Package) {
 	info := pkg.Info
 	mark := func(n ast.Node, self ...*ast.Ident) {
@@ -208,6 +212,13 @@ func (d *deadAPI) scanCode(pkg *loader.Package) {
 			}
 			return true
 		})
+	}
+	fieldOf := func(sel *ast.SelectorExpr) string {
+		s := info.Selections[sel]
+		if s == nil || s.Kind() != types.FieldVal {
+			return ""
+		}
+		return selectedFieldKey(s)
 	}
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
@@ -229,21 +240,42 @@ func (d *deadAPI) scanCode(pkg *loader.Package) {
 			}
 		}
 		scanWrites(f, fieldNamer{
-			sel: func(sel *ast.SelectorExpr) string {
-				s := info.Selections[sel]
-				if s == nil || s.Kind() != types.FieldVal {
-					return ""
-				}
-				return selectedFieldKey(s)
-			},
+			sel: fieldOf,
 			lit: func(lit *ast.CompositeLit, key *ast.Ident) string {
 				if named := namedOf(info.TypeOf(lit)); named != nil {
 					return memberKey(named, key.Name)
 				}
 				return ""
 			},
-		}, func(k string) { d.written[k] = true })
+		}, func(k string, value ast.Expr) {
+			if sel, ok := ast.Unparen(value).(*ast.SelectorExpr); ok {
+				if src := fieldOf(sel); src != "" {
+					d.forward[k] = append(d.forward[k], src)
+					return
+				}
+			}
+			d.written[k] = true
+		})
 	}
+}
+
+// isWritten reports whether field key k is written: directly, by a
+// test (bare field name), or by a copy from a field that is itself
+// written. seen guards against forwarding cycles.
+func (d *deadAPI) isWritten(k string, seen map[string]bool) bool {
+	if d.written[k] || d.written[k[strings.LastIndex(k, ".")+1:]] {
+		return true
+	}
+	if seen[k] {
+		return false
+	}
+	seen[k] = true
+	for _, src := range d.forward[k] {
+		if d.isWritten(src, seen) {
+			return true
+		}
+	}
+	return false
 }
 
 // selectedFieldKey follows a field selection's embedding path to the
@@ -278,11 +310,12 @@ type fieldNamer struct {
 }
 
 // scanWrites calls mark for every field write in f: a composite-literal
-// key, an assignment or ++/--, or &x.F. An assignment inside the body of
-// the field's own zero check is a default and is skipped.
-func scanWrites(f *ast.File, name fieldNamer, mark func(string)) {
+// key, an assignment or ++/--, or &x.F, with the written value when it
+// is a single expression (nil otherwise). An assignment inside the body
+// of the field's own zero check is a default and is skipped.
+func scanWrites(f *ast.File, name fieldNamer, mark func(k string, value ast.Expr)) {
 	var stack []ast.Node
-	write := func(e ast.Expr) {
+	write := func(e, value ast.Expr) {
 		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 		if !ok {
 			return
@@ -291,7 +324,7 @@ func scanWrites(f *ast.File, name fieldNamer, mark func(string)) {
 		if k == "" || defaulted(stack, k, name) {
 			return
 		}
-		mark(k)
+		mark(k, value)
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		if n == nil {
@@ -305,20 +338,24 @@ func scanWrites(f *ast.File, name fieldNamer, mark func(string)) {
 				if kv, ok := e.(*ast.KeyValueExpr); ok {
 					if id, ok := kv.Key.(*ast.Ident); ok {
 						if k := name.lit(n, id); k != "" {
-							mark(k)
+							mark(k, kv.Value)
 						}
 					}
 				}
 			}
 		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				write(lhs)
+			for i, lhs := range n.Lhs {
+				var value ast.Expr
+				if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
+					value = n.Rhs[i]
+				}
+				write(lhs, value)
 			}
 		case *ast.IncDecStmt:
-			write(n.X)
+			write(n.X, nil)
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
-				write(n.X)
+				write(n.X, nil)
 			}
 		}
 		return true
@@ -426,7 +463,7 @@ func (d *deadAPI) scanTests(pkg *loader.Package) error {
 				}
 				return key.Name
 			},
-		}, func(k string) { d.written[k] = true })
+		}, func(k string, _ ast.Expr) { d.written[k] = true })
 	}
 	return nil
 }
@@ -495,7 +532,7 @@ func (d *deadAPI) check(pkg *loader.Package, report func(token.Pos, string)) {
 }
 
 // checkConfig reports the exported fields of a *Config or *Options
-// struct that nothing writes.
+// struct that nothing writes, directly or through a chain of copies.
 func (d *deadAPI) checkConfig(pkg *loader.Package, spec *ast.TypeSpec, report func(token.Pos, string)) {
 	name := spec.Name.Name
 	st, ok := spec.Type.(*ast.StructType)
@@ -504,11 +541,15 @@ func (d *deadAPI) checkConfig(pkg *loader.Package, spec *ast.TypeSpec, report fu
 	}
 	for _, field := range st.Fields.List {
 		for _, id := range field.Names {
-			if !id.IsExported() || d.written[id.Name] || d.written[pkg.Path+"."+name+"."+id.Name] {
+			k := pkg.Path + "." + name + "." + id.Name
+			if !id.IsExported() || d.isWritten(k, map[string]bool{}) {
 				continue
 			}
-			report(id.Pos(), fmt.Sprintf("%s.%s.%s is never written (a zero-value default is not a write)",
-				pkg.Types.Name(), name, id.Name))
+			why := "is never written (a zero-value default is not a write)"
+			if len(d.forward[k]) > 0 {
+				why = "is only copied from fields nothing writes"
+			}
+			report(id.Pos(), fmt.Sprintf("%s.%s.%s %s", pkg.Types.Name(), name, id.Name, why))
 		}
 	}
 }

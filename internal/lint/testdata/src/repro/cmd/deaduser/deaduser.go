@@ -12,4 +12,5 @@ func main() {
 	e := deadlib.New(deadlib.Config{Used: 1})
 	deadpeer.Drain(e)
 	fmt.Println(e)
+	fmt.Println(deadlib.Serve(deadlib.Profile{Mode: 2}))
 }

@@ -19,6 +19,36 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Profile is a fixture source struct: nothing writes Tickets, and
+// cmd/deaduser writes Mode.
+type Profile struct {
+	Tickets bool
+	Mode    int
+}
+
+// ServerConfig copies Profile's fields: the first hop of a forward.
+type ServerConfig struct {
+	Tickets bool // want `deadlib.ServerConfig.Tickets is only copied from fields nothing writes`
+	Mode    int
+}
+
+// ConnConfig copies ServerConfig's fields: the second hop.
+type ConnConfig struct {
+	Tickets bool // want `deadlib.ConnConfig.Tickets is only copied from fields nothing writes`
+	Mode    int
+}
+
+// Serve forwards p through both hops; cmd/deaduser calls it.
+func Serve(p Profile) ConnConfig {
+	s := ServerConfig{Tickets: p.Tickets, Mode: p.Mode}
+	var c ConnConfig
+	c.Tickets = s.Tickets
+	c.Mode = s.Mode
+	s.Tickets = c.Tickets // a copy back: a cycle with no write in it
+	_ = s
+	return c
+}
+
 // New is called by cmd/deaduser.
 func New(c Config) *Engine { return &Engine{cfg: c.withDefaults()} }
 

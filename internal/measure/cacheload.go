@@ -24,8 +24,6 @@ type CacheWorkloadConfig struct {
 	// Parallelism caps the worker pool (0 = GOMAXPROCS); wall time
 	// only, never results.
 	Parallelism int
-	// ResolverBlock is the shard granularity in resolvers (default 8).
-	ResolverBlock int
 
 	// Protocol is the transport the stream runs on (default DoUDP; the
 	// cache is transport-agnostic, so E16 measures the cache itself on
@@ -48,6 +46,9 @@ type CacheWorkloadConfig struct {
 // its TTL lapses, an unpopular one expires in between.
 const cacheQueryInterval = time.Second
 
+// cacheResolverBlock is the cache-workload shard granularity in resolvers.
+const cacheResolverBlock = 8
+
 func (c *CacheWorkloadConfig) defaults() {
 	if c.Queries == 0 {
 		c.Queries = 500
@@ -57,9 +58,6 @@ func (c *CacheWorkloadConfig) defaults() {
 	}
 	if c.Skew == 0 {
 		c.Skew = 1.2
-	}
-	if c.ResolverBlock == 0 {
-		c.ResolverBlock = 8
 	}
 }
 
@@ -126,7 +124,7 @@ func MergeCacheSummaries(parts []CacheWorkloadSummary) CacheWorkloadSummary {
 // summary stream byte-identical at any parallelism.
 func RunCacheWorkload(cfg CacheWorkloadConfig) ([]CacheWorkloadSummary, error) {
 	cfg.defaults()
-	return runSharded(cfg.Blueprint, cfg.Parallelism, cfg.ResolverBlock,
+	return runSharded(cfg.Blueprint, cfg.Parallelism, cacheResolverBlock,
 		func(u *resolver.Universe, vp *resolver.Vantage) []CacheWorkloadSummary {
 			var out []CacheWorkloadSummary
 			for idx, res := range u.Resolvers {

@@ -38,11 +38,18 @@ func TestZipfWorkloadDeterministicAndSkewed(t *testing.T) {
 	}
 }
 
-func cacheBlueprint(t *testing.T, mutate func(*resolver.Profile)) *resolver.Blueprint {
+// threeResolvers is the small population most campaign tests run on;
+// nineResolvers spans two blocks of the cache and proxy campaigns.
+var (
+	threeResolvers = map[geo.Continent]int{geo.EU: 2, geo.NA: 1}
+	nineResolvers  = map[geo.Continent]int{geo.EU: 5, geo.NA: 4}
+)
+
+func cacheBlueprint(t *testing.T, counts map[geo.Continent]int, mutate func(*resolver.Profile)) *resolver.Blueprint {
 	t.Helper()
 	bp, err := resolver.NewBlueprint(resolver.UniverseConfig{
 		Seed:           2022,
-		ResolverCounts: map[geo.Continent]int{geo.EU: 2, geo.NA: 1},
+		ResolverCounts: counts,
 		Loss:           0.003,
 		MutateProfile:  mutate,
 	})
@@ -55,17 +62,16 @@ func cacheBlueprint(t *testing.T, mutate func(*resolver.Profile)) *resolver.Blue
 // TestCacheWorkloadDeterministicAcrossParallelism extends the byte-
 // identical guarantee to the Zipf cache campaign: cache state is
 // confined to shards, so the summary stream cannot depend on the worker
-// count.
+// count. Nine resolvers make two shards per vantage.
 func TestCacheWorkloadDeterministicAcrossParallelism(t *testing.T) {
-	bp := cacheBlueprint(t, nil)
+	bp := cacheBlueprint(t, nineResolvers, nil)
 	run := func(par int) []CacheWorkloadSummary {
 		sums, err := RunCacheWorkload(CacheWorkloadConfig{
-			Blueprint:     bp,
-			Parallelism:   par,
-			ResolverBlock: 1, // several shards per vantage
-			Queries:       40,
-			Names:         50,
-			Skew:          1.3,
+			Blueprint:   bp,
+			Parallelism: par,
+			Queries:     40,
+			Names:       50,
+			Skew:        1.3,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -88,7 +94,7 @@ func TestCacheWorkloadDeterministicAcrossParallelism(t *testing.T) {
 // campaign level: a more skewed workload concentrates queries on fewer
 // names and lifts the resolver-cache hit ratio.
 func TestCacheWorkloadHitRatioGrowsWithSkew(t *testing.T) {
-	bp := cacheBlueprint(t, func(p *resolver.Profile) {
+	bp := cacheBlueprint(t, threeResolvers, func(p *resolver.Profile) {
 		p.ResponseRate = 1
 		p.CacheTTL = time.Hour
 	})
@@ -114,7 +120,7 @@ func TestCacheWorkloadHitRatioGrowsWithSkew(t *testing.T) {
 // attributes to caching: cache hits skip upstream recursion, so their
 // resolve times sit well below misses'.
 func TestCacheWorkloadHitsFasterThanMisses(t *testing.T) {
-	bp := cacheBlueprint(t, func(p *resolver.Profile) {
+	bp := cacheBlueprint(t, threeResolvers, func(p *resolver.Profile) {
 		p.ResponseRate = 1
 		p.CacheTTL = time.Hour
 	})
@@ -143,7 +149,7 @@ func TestCacheWorkloadHitsFasterThanMisses(t *testing.T) {
 // TestCacheWorkloadStubCache checks the client-side layer: with a stub
 // cache, repeated names are absorbed locally.
 func TestCacheWorkloadStubCache(t *testing.T) {
-	bp := cacheBlueprint(t, func(p *resolver.Profile) {
+	bp := cacheBlueprint(t, threeResolvers, func(p *resolver.Profile) {
 		p.ResponseRate = 1
 		p.CacheTTL = time.Hour
 	})

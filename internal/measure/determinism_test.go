@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/dox"
 	"repro/internal/geo"
 	"repro/internal/netem"
@@ -18,12 +19,13 @@ import (
 // is shared across shards or a nondeterministic source (map iteration,
 // system DRBG) has leaked into the simulation.
 
+// detBlueprint's 36 resolvers span two single-query blocks per
+// vantage, so the campaigns below cross a shard boundary.
 func detBlueprint(t *testing.T) *resolver.Blueprint {
 	t.Helper()
 	bp, err := resolver.NewBlueprint(resolver.UniverseConfig{
 		Seed:           2022,
-		ResolverCounts: resolver.ScaledCounts(12),
-		Loss:           0.003,
+		ResolverCounts: resolver.ScaledCounts(36),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,10 +36,9 @@ func detBlueprint(t *testing.T) *resolver.Blueprint {
 func TestSingleQueryDeterministicAcrossParallelism(t *testing.T) {
 	run := func(par int) []SingleQuerySample {
 		samples, err := RunSingleQuery(SingleQueryConfig{
-			Blueprint:     detBlueprint(t),
-			Parallelism:   par,
-			ResolverBlock: 3, // several shards per vantage
-			Rounds:        2,
+			Blueprint:   detBlueprint(t),
+			Parallelism: par,
+			Rounds:      2,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -62,23 +63,23 @@ func TestSingleQueryDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestWebDeterministicAcrossParallelism runs five resolvers: two web
+// blocks per vantage.
 func TestWebDeterministicAcrossParallelism(t *testing.T) {
 	bp, err := resolver.NewBlueprint(resolver.UniverseConfig{
 		Seed:           2022,
-		ResolverCounts: map[geo.Continent]int{geo.EU: 2, geo.NA: 1},
-		Loss:           0.003,
+		ResolverCounts: map[geo.Continent]int{geo.EU: 3, geo.NA: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func(par int) []WebSample {
 		samples, err := RunWeb(WebConfig{
-			Blueprint:     bp,
-			Parallelism:   par,
-			ResolverBlock: 1, // one shard per [vantage:resolver]
-			Protocols:     []dox.Protocol{dox.DoUDP, dox.DoQ, dox.DoH},
-			Pages:         []*pages.Page{pages.ByName("wikipedia"), pages.ByName("google")},
-			Loads:         1,
+			Blueprint:   bp,
+			Parallelism: par,
+			Protocols:   []dox.Protocol{dox.DoUDP, dox.DoQ, dox.DoH},
+			Pages:       []*pages.Page{pages.ByName("wikipedia"), pages.ByName("google")},
+			Loads:       1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -164,9 +165,9 @@ func TestScheduledCampaignDeterministicAndPaced(t *testing.T) {
 			Seed:           2022,
 			ResolverCounts: resolver.ScaledCounts(8),
 			PathPhases: []resolver.PathPhase{
-				{At: 0, Loss: 0.003},
+				{At: 0, Loss: resolver.DefaultLoss},
 				{At: 20 * time.Second, Burst: netem.BurstLoss{PGoodBad: 0.08, PBadGood: 0.25, LossBad: 0.45}},
-				{At: 60 * time.Second, Loss: 0.003},
+				{At: 60 * time.Second, Loss: resolver.DefaultLoss},
 			},
 		})
 		if err != nil {
@@ -204,14 +205,15 @@ func TestScheduledCampaignDeterministicAndPaced(t *testing.T) {
 }
 
 // TestShardedSampleStreamShape checks that the sharded path covers the
-// full matrix exactly once with global resolver indices.
+// full matrix exactly once with global resolver indices, across more
+// than one resolver block per vantage.
 func TestShardedSampleStreamShape(t *testing.T) {
 	bp := detBlueprint(t)
-	samples, err := RunSingleQuery(SingleQueryConfig{
-		Blueprint:     bp,
-		Parallelism:   4,
-		ResolverBlock: 5,
-	})
+	if n := len(campaign.Blocks(len(bp.Profiles), singleQueryResolverBlock)); n < 2 {
+		t.Fatalf("%d resolvers make %d block(s) of %d; the test needs a block boundary",
+			len(bp.Profiles), n, singleQueryResolverBlock)
+	}
+	samples, err := RunSingleQuery(SingleQueryConfig{Blueprint: bp, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,6 +237,63 @@ func TestShardedSampleStreamShape(t *testing.T) {
 	for k, n := range seen {
 		if n != 1 {
 			t.Fatalf("combination %+v measured %d times", k, n)
+		}
+	}
+}
+
+// TestPacketTraceIdenticalGivenSeed is the strongest determinism
+// regression test: two same-seed campaigns must emit bit-identical
+// packet sequences, not just equal aggregates. It is also the consumer
+// of netem's Network.Trace hook — if a nondeterministic source (map
+// iteration waking tasks, the system DRBG behind crypto key
+// generation) leaks back in, the first diverging packet localizes it.
+// Each vantage runs as one shard, its trace hook installed before the
+// shard body starts.
+func TestPacketTraceIdenticalGivenSeed(t *testing.T) {
+	type packet struct {
+		vantage int
+		now     time.Duration
+		proto   netem.Proto
+		src     string
+		payload string
+	}
+	bp, err := resolver.NewBlueprint(resolver.UniverseConfig{
+		Seed:           77,
+		ResolverCounts: map[geo.Continent]int{geo.EU: 2, geo.AS: 1},
+		Loss:           0.01, // loss exercises the retransmission paths
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := SingleQueryConfig{Blueprint: bp}
+	cfg.defaults()
+	run := func() []packet {
+		var trace []packet
+		for v := range bp.Vantages {
+			u, err := bp.Instantiate(bp.Seed+int64(v), resolver.Scope{Vantages: []int{v}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			u.Net.Trace = func(d netem.Datagram, now time.Duration) {
+				trace = append(trace, packet{v, now, d.Proto, d.Src.String(), string(d.Payload)})
+			}
+			u.W.Go(func() { singleQueryShardBody(u, u.Vantages[0], cfg) })
+			u.W.Run()
+			u.W.Shutdown()
+		}
+		return trace
+	}
+	a, b := run(), run()
+	if len(a) == 0 {
+		t.Fatal("empty packet trace")
+	}
+	if len(a) != len(b) {
+		t.Fatalf("packet counts differ: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("first diverging packet at %d: vantage %d %v %d %s vs vantage %d %v %d %s",
+				i, a[i].vantage, a[i].now, a[i].proto, a[i].src, b[i].vantage, b[i].now, b[i].proto, b[i].src)
 		}
 	}
 }

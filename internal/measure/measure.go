@@ -34,13 +34,9 @@
 // GOMAXPROCS (see the Parallelism knobs) and results merge in shard
 // order, so the sample stream is byte-identical at any parallelism
 // level: the shard plan and every shard seed are functions of the
-// configuration only, never of the worker count.
-//
-// The single-World entry points (SingleQueryConfig.Universe,
-// WebConfig.Universe) run on a pre-built Universe and are equivalent to
-// a one-shard campaign. They stay because TestPacketTraceIdenticalGivenSeed
-// installs a packet-trace hook on the Universe before the campaign runs,
-// and the integration tests measure a Universe they built themselves.
+// configuration only, never of the worker count. The resolver block of
+// each campaign is a package constant, so the shard plan is fixed by
+// the blueprint alone.
 package measure
 
 import (
@@ -83,21 +79,13 @@ type SingleQuerySample struct {
 
 // SingleQueryConfig parameterizes a single-query campaign.
 type SingleQueryConfig struct {
-	// Universe runs the campaign inside one pre-built World (legacy
-	// single-shard path). Mutually exclusive with Blueprint.
-	Universe *resolver.Universe
-	// Blueprint selects the sharded path: the campaign is partitioned by
-	// vantage and resolver block, and every shard instantiates its
+	// Blueprint is the resolver population: the campaign is partitioned
+	// by vantage and resolver block, and every shard instantiates its
 	// partition of the blueprint in a private World.
 	Blueprint *resolver.Blueprint
 	// Parallelism caps the worker pool (0 = GOMAXPROCS). It affects wall
 	// time only, never results.
 	Parallelism int
-	// ResolverBlock is the shard granularity in resolvers (default 32).
-	// Part of the shard plan: changing it changes shard seeds and thus
-	// the exact sample stream, so it is a config knob, not a tuning knob
-	// the engine may adjust on its own.
-	ResolverBlock int
 
 	Protocols []dox.Protocol // default: all five
 	// Rounds repeats the campaign (the paper measures every 2 hours for
@@ -131,6 +119,13 @@ const (
 	queryTimeout = 15 * time.Second
 	// loadTimeout bounds one page load.
 	loadTimeout = 60 * time.Second
+
+	// singleQueryResolverBlock and webResolverBlock are the shard
+	// granularities in resolvers (web combinations are far more
+	// expensive than single queries). Part of the shard plan: changing
+	// one changes shard seeds and thus the exact sample stream.
+	singleQueryResolverBlock = 32
+	webResolverBlock         = 4
 )
 
 func (c *SingleQueryConfig) defaults() {
@@ -142,9 +137,6 @@ func (c *SingleQueryConfig) defaults() {
 	}
 	if c.RoundInterval == 0 {
 		c.RoundInterval = 2 * time.Hour
-	}
-	if c.ResolverBlock == 0 {
-		c.ResolverBlock = 32
 	}
 }
 
@@ -195,22 +187,10 @@ func runSharded[T any](bp *resolver.Blueprint, parallelism, resolverBlock int, b
 // called from the host side (it drives each World's Run itself).
 func RunSingleQuery(cfg SingleQueryConfig) ([]SingleQuerySample, error) {
 	cfg.defaults()
-	if cfg.Blueprint != nil {
-		return runSharded(cfg.Blueprint, cfg.Parallelism, cfg.ResolverBlock,
-			func(u *resolver.Universe, vp *resolver.Vantage) []SingleQuerySample {
-				return singleQueryShardBody(u, vp, cfg)
-			})
-	}
-	u := cfg.Universe
-	perVantage := make([][]SingleQuerySample, len(u.Vantages))
-	for i, vp := range u.Vantages {
-		i, vp := i, vp
-		u.W.Go(func() {
-			perVantage[i] = singleQueryShardBody(u, vp, cfg)
+	return runSharded(cfg.Blueprint, cfg.Parallelism, singleQueryResolverBlock,
+		func(u *resolver.Universe, vp *resolver.Vantage) []SingleQuerySample {
+			return singleQueryShardBody(u, vp, cfg)
 		})
-	}
-	u.W.Run()
-	return campaign.Concat(perVantage), nil
 }
 
 // singleQueryShardBody is the serial measurement loop of one shard: all
@@ -386,17 +366,11 @@ type WebSample struct {
 
 // WebConfig parameterizes the web campaign.
 type WebConfig struct {
-	// Universe runs the campaign inside one pre-built World (legacy
-	// single-shard path). Mutually exclusive with Blueprint.
-	Universe *resolver.Universe
-	// Blueprint selects the sharded path (see SingleQueryConfig).
+	// Blueprint is the resolver population (see SingleQueryConfig).
 	Blueprint *resolver.Blueprint
 	// Parallelism caps the worker pool (0 = GOMAXPROCS); results do not
 	// depend on it.
 	Parallelism int
-	// ResolverBlock is the shard granularity in resolvers (default 4;
-	// web combinations are far more expensive than single queries).
-	ResolverBlock int
 
 	Protocols []dox.Protocol
 	Pages     []*pages.Page
@@ -423,31 +397,16 @@ func (c *WebConfig) defaults() {
 	if c.Loads == 0 {
 		c.Loads = 4
 	}
-	if c.ResolverBlock == 0 {
-		c.ResolverBlock = 4
-	}
 }
 
 // RunWeb executes the web campaign and returns all samples, ordered by
 // (vantage, resolver block, resolver, protocol, page, load).
 func RunWeb(cfg WebConfig) ([]WebSample, error) {
 	cfg.defaults()
-	if cfg.Blueprint != nil {
-		return runSharded(cfg.Blueprint, cfg.Parallelism, cfg.ResolverBlock,
-			func(u *resolver.Universe, vp *resolver.Vantage) []WebSample {
-				return webShardBody(u, vp, cfg)
-			})
-	}
-	u := cfg.Universe
-	perVantage := make([][]WebSample, len(u.Vantages))
-	for i, vp := range u.Vantages {
-		i, vp := i, vp
-		u.W.Go(func() {
-			perVantage[i] = webShardBody(u, vp, cfg)
+	return runSharded(cfg.Blueprint, cfg.Parallelism, webResolverBlock,
+		func(u *resolver.Universe, vp *resolver.Vantage) []WebSample {
+			return webShardBody(u, vp, cfg)
 		})
-	}
-	u.W.Run()
-	return campaign.Concat(perVantage), nil
 }
 
 // webShardBody measures every [resolver:protocol] combination of the

@@ -12,9 +12,9 @@ import (
 	"repro/internal/tlsmini"
 )
 
-func smallUniverse(t *testing.T, seed int64) *resolver.Universe {
+func smallBlueprint(t *testing.T, seed int64) *resolver.Blueprint {
 	t.Helper()
-	u, err := resolver.NewUniverse(resolver.UniverseConfig{
+	bp, err := resolver.NewBlueprint(resolver.UniverseConfig{
 		Seed:           seed,
 		ResolverCounts: map[geo.Continent]int{geo.EU: 3, geo.AS: 2, geo.NA: 2, geo.AF: 1},
 		Loss:           0.001,
@@ -22,7 +22,7 @@ func smallUniverse(t *testing.T, seed int64) *resolver.Universe {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return u
+	return bp
 }
 
 func medianBy(samples []SingleQuerySample, proto dox.Protocol, f func(SingleQuerySample) time.Duration) time.Duration {
@@ -36,8 +36,7 @@ func medianBy(samples []SingleQuerySample, proto dox.Protocol, f func(SingleQuer
 }
 
 func TestSingleQueryCampaignShape(t *testing.T) {
-	u := smallUniverse(t, 11)
-	samples, err := RunSingleQuery(SingleQueryConfig{Universe: u})
+	samples, err := RunSingleQuery(SingleQueryConfig{Blueprint: smallBlueprint(t, 11)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +82,9 @@ func TestSingleQueryCampaignShape(t *testing.T) {
 }
 
 func TestSingleQueryUsesResumptionAndTokens(t *testing.T) {
-	u := smallUniverse(t, 12)
-	samples, err := RunSingleQuery(SingleQueryConfig{Universe: u, Protocols: []dox.Protocol{dox.DoQ, dox.DoT, dox.DoH}})
+	samples, err := RunSingleQuery(SingleQueryConfig{
+		Blueprint: smallBlueprint(t, 12), Protocols: []dox.Protocol{dox.DoQ, dox.DoT, dox.DoH},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,14 +138,13 @@ func TestSingleQueryUsesResumptionAndTokens(t *testing.T) {
 // with big-certificate resolvers pay the amplification-limit round trip,
 // and draft-version resolvers cost a Version Negotiation round trip.
 func TestE10NoResumptionSlowsDoQ(t *testing.T) {
-	u1 := smallUniverse(t, 13)
-	with, err := RunSingleQuery(SingleQueryConfig{Universe: u1, Protocols: []dox.Protocol{dox.DoQ}})
+	bp := smallBlueprint(t, 13)
+	with, err := RunSingleQuery(SingleQueryConfig{Blueprint: bp, Protocols: []dox.Protocol{dox.DoQ}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	u2 := smallUniverse(t, 13)
 	without, err := RunSingleQuery(SingleQueryConfig{
-		Universe: u2, Protocols: []dox.Protocol{dox.DoQ}, DisableResumption: true,
+		Blueprint: bp, Protocols: []dox.Protocol{dox.DoQ}, DisableResumption: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +161,7 @@ func TestE10NoResumptionSlowsDoQ(t *testing.T) {
 // paper's future-work scenario) the measured DoQ resolve completes with
 // early data.
 func TestE11ZeroRTT(t *testing.T) {
-	u, err := resolver.NewUniverse(resolver.UniverseConfig{
+	bp, err := resolver.NewBlueprint(resolver.UniverseConfig{
 		Seed:           14,
 		ResolverCounts: map[geo.Continent]int{geo.EU: 2},
 		Loss:           0,
@@ -172,7 +171,7 @@ func TestE11ZeroRTT(t *testing.T) {
 		t.Fatal(err)
 	}
 	samples, err := RunSingleQuery(SingleQueryConfig{
-		Universe: u, Protocols: []dox.Protocol{dox.DoQ}, Use0RTT: true,
+		Blueprint: bp, Protocols: []dox.Protocol{dox.DoQ}, Use0RTT: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +195,7 @@ func TestE11ZeroRTT(t *testing.T) {
 }
 
 func TestWebCampaignShape(t *testing.T) {
-	u, err := resolver.NewUniverse(resolver.UniverseConfig{
+	bp, err := resolver.NewBlueprint(resolver.UniverseConfig{
 		Seed:           15,
 		ResolverCounts: map[geo.Continent]int{geo.EU: 1, geo.NA: 1},
 		Loss:           0.001,
@@ -206,7 +205,7 @@ func TestWebCampaignShape(t *testing.T) {
 	}
 	ps := []*pages.Page{pages.ByName("wikipedia"), pages.ByName("youtube")}
 	samples, err := RunWeb(WebConfig{
-		Universe:  u,
+		Blueprint: bp,
 		Protocols: []dox.Protocol{dox.DoUDP, dox.DoQ, dox.DoH},
 		Pages:     ps,
 		Loads:     2,

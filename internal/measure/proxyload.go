@@ -27,8 +27,6 @@ type ProxyServeConfig struct {
 	// Parallelism caps the worker pool (0 = GOMAXPROCS); wall time
 	// only, never results.
 	Parallelism int
-	// ResolverBlock is the shard granularity in resolvers (default 8).
-	ResolverBlock int
 
 	// Protocol is the proxy's upstream transport (default DoUDP).
 	Protocol dox.Protocol
@@ -41,9 +39,6 @@ type ProxyServeConfig struct {
 	Names int
 	// Skew is the Zipf exponent (default 1.2; must be > 1).
 	Skew float64
-	// QueryInterval spaces each client's queries in virtual time
-	// (default 1s).
-	QueryInterval time.Duration
 
 	// Proxy serving semantics under test (threaded into
 	// dnsproxy.Config, whose defaults apply to the stale, revalidation
@@ -74,6 +69,13 @@ type ProxyServeConfig struct {
 // or stale answers arrive after the client gave up.
 const proxyQueryTimeout = 3 * time.Second
 
+const (
+	// proxyQueryInterval spaces each client's queries in virtual time.
+	proxyQueryInterval = time.Second
+	// proxyResolverBlock is the shard granularity in resolvers.
+	proxyResolverBlock = 8
+)
+
 func (c *ProxyServeConfig) defaults() {
 	// Protocol's zero value is DoUDP, the intended default.
 	if c.Clients == 0 {
@@ -87,12 +89,6 @@ func (c *ProxyServeConfig) defaults() {
 	}
 	if c.Skew == 0 {
 		c.Skew = 1.2
-	}
-	if c.QueryInterval == 0 {
-		c.QueryInterval = time.Second
-	}
-	if c.ResolverBlock == 0 {
-		c.ResolverBlock = 8
 	}
 }
 
@@ -173,7 +169,7 @@ func MergeProxyServeSummaries(parts []ProxyServeSummary) ProxyServeSummary {
 // parallelism.
 func RunProxyServe(cfg ProxyServeConfig) ([]ProxyServeSummary, error) {
 	cfg.defaults()
-	return runSharded(cfg.Blueprint, cfg.Parallelism, cfg.ResolverBlock,
+	return runSharded(cfg.Blueprint, cfg.Parallelism, proxyResolverBlock,
 		func(u *resolver.Universe, vp *resolver.Vantage) []ProxyServeSummary {
 			var out []ProxyServeSummary
 			for idx, res := range u.Resolvers {
@@ -272,7 +268,7 @@ func runProxyClient(w *sim.World, host *netem.Host, proxyAddr netip.AddrPort, na
 	defer sock.Close()
 	for i, name := range names {
 		if i > 0 {
-			w.Sleep(cfg.QueryInterval)
+			w.Sleep(proxyQueryInterval)
 		}
 		qid := uint16(i + 1)
 		q := dnsmsg.NewQuery(qid, name, dnsmsg.TypeA)

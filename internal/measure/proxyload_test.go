@@ -9,11 +9,11 @@ import (
 	"repro/internal/resolver"
 )
 
-func proxyBlueprint(t *testing.T, phases []resolver.PathPhase, ttl time.Duration) *resolver.Blueprint {
+func proxyBlueprint(t *testing.T, counts map[geo.Continent]int, phases []resolver.PathPhase, ttl time.Duration) *resolver.Blueprint {
 	t.Helper()
 	bp, err := resolver.NewBlueprint(resolver.UniverseConfig{
 		Seed:           2022,
-		ResolverCounts: map[geo.Continent]int{geo.EU: 2, geo.NA: 1},
+		ResolverCounts: counts,
 		Loss:           0.003,
 		PathPhases:     phases,
 		MutateProfile: func(p *resolver.Profile) {
@@ -31,14 +31,14 @@ func proxyBlueprint(t *testing.T, phases []resolver.PathPhase, ttl time.Duration
 // guarantee to the proxy serving campaign with every serving feature on
 // at once: coalescing, serve-stale across an outage, prefetch and rate
 // limiting all confine their state to the shard's World, so the summary
-// stream cannot depend on the worker count.
+// stream cannot depend on the worker count. Nine resolvers make two
+// shards per vantage.
 func TestProxyServeDeterministicAcrossParallelism(t *testing.T) {
-	bp := proxyBlueprint(t, resolver.OutagePhases(0.003, 8*time.Second, 14*time.Second), 2*time.Second)
+	bp := proxyBlueprint(t, nineResolvers, resolver.OutagePhases(resolver.DefaultLoss, 8*time.Second, 14*time.Second), 2*time.Second)
 	run := func(par int) []ProxyServeSummary {
 		sums, err := RunProxyServe(ProxyServeConfig{
 			Blueprint:     bp,
 			Parallelism:   par,
-			ResolverBlock: 1, // several shards per vantage
 			Clients:       3,
 			Queries:       20,
 			Names:         30,
@@ -72,7 +72,7 @@ func TestProxyServeDeterministicAcrossParallelism(t *testing.T) {
 // concurrent miss group into one upstream exchange without losing
 // answers.
 func TestProxyServeCoalescingReducesUpstream(t *testing.T) {
-	bp := proxyBlueprint(t, nil, 5*time.Second)
+	bp := proxyBlueprint(t, threeResolvers, nil, 5*time.Second)
 	run := func(coalesce bool) ProxyServeSummary {
 		sums, err := RunProxyServe(ProxyServeConfig{
 			Blueprint: bp,
@@ -105,7 +105,7 @@ func TestProxyServeCoalescingReducesUpstream(t *testing.T) {
 func TestProxyServeStaleSavesOutageWindow(t *testing.T) {
 	phases := resolver.OutagePhases(0, 8*time.Second, 20*time.Second)
 	run := func(serveStale bool) ProxyServeSummary {
-		bp := proxyBlueprint(t, phases, 2*time.Second)
+		bp := proxyBlueprint(t, threeResolvers, phases, 2*time.Second)
 		sums, err := RunProxyServe(ProxyServeConfig{
 			Blueprint:     bp,
 			Clients:       2,
@@ -137,14 +137,13 @@ func TestProxyServeStaleSavesOutageWindow(t *testing.T) {
 // TestProxyServeRateLimitRefuses checks that the per-client token bucket
 // surfaces in the campaign summary.
 func TestProxyServeRateLimitRefuses(t *testing.T) {
-	bp := proxyBlueprint(t, nil, time.Hour)
+	bp := proxyBlueprint(t, threeResolvers, nil, time.Hour)
 	sums, err := RunProxyServe(ProxyServeConfig{
 		Blueprint:      bp,
 		Clients:        2,
 		Queries:        10,
 		Names:          5,
-		QueryInterval:  100 * time.Millisecond, // 10 qps per client
-		RateLimitQPS:   2,
+		RateLimitQPS:   0.5, // clients send 1 qps
 		RateLimitBurst: 1,
 	})
 	if err != nil {
@@ -152,7 +151,7 @@ func TestProxyServeRateLimitRefuses(t *testing.T) {
 	}
 	all := MergeProxyServeSummaries(sums)
 	if all.Refused == 0 {
-		t.Error("a 10 qps client against a 2 qps bucket was never refused")
+		t.Error("a 1 qps client against a 0.5 qps bucket was never refused")
 	}
 	if all.OK == 0 {
 		t.Error("rate limiting refused everything")

@@ -328,18 +328,22 @@ type FailoverSample struct {
 
 // FailoverCampaignConfig parameterizes the E27 campaign. Each shard's
 // resolver block forms one upstream set: the first resolver is the
-// primary, which suffers a total outage for [OutageStart, OutageEnd)
-// on the arm-relative clock.
+// primary, which suffers a total outage for [FailoverOutageStart,
+// FailoverOutageEnd) on the arm-relative clock.
 type FailoverCampaignConfig struct {
 	Blueprint   *resolver.Blueprint
 	Parallelism int
 
 	// Queries is the stream length per arm (default 40).
 	Queries int
-	// OutageStart and OutageEnd bound the primary's outage on the
-	// arm-relative clock (defaults: 10s and 25s).
-	OutageStart, OutageEnd time.Duration
 }
+
+// FailoverOutageStart and FailoverOutageEnd bound the primary's outage
+// on the arm-relative clock.
+const (
+	FailoverOutageStart = 10 * time.Second
+	FailoverOutageEnd   = 25 * time.Second
+)
 
 const (
 	// failoverUpstreams is the resolvers per set — and the shard
@@ -355,12 +359,6 @@ const (
 func (c *FailoverCampaignConfig) defaults() {
 	if c.Queries == 0 {
 		c.Queries = 40
-	}
-	if c.OutageStart == 0 {
-		c.OutageStart = 10 * time.Second
-	}
-	if c.OutageEnd == 0 {
-		c.OutageEnd = 25 * time.Second
 	}
 }
 
@@ -400,8 +398,8 @@ func runFailoverArm(u *resolver.Universe, vp *resolver.Vantage, cfg FailoverCamp
 	down.Loss = 1
 	u.Net.SetSymmetricPathSchedule(vp.Host.Addr(), primary.Addr, []netem.PathStep{
 		{At: armStart, Params: base},
-		{At: armStart + cfg.OutageStart, Params: down},
-		{At: armStart + cfg.OutageEnd, Params: base},
+		{At: armStart + FailoverOutageStart, Params: down},
+		{At: armStart + FailoverOutageEnd, Params: base},
 	})
 	defer u.Net.SetSymmetricPathSchedule(vp.Host.Addr(), primary.Addr, nil)
 

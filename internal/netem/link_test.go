@@ -10,16 +10,18 @@ import (
 	"repro/internal/sim"
 )
 
-// TestBandwidthSerializationFIFO checks the bottleneck queue's virtual
-// timing: a 1000-byte datagram over a 1 MB/s link with 10ms propagation
-// arrives after 11ms, and a second one sent at the same instant queues
-// behind it, arriving exactly one serialization time later.
+// TestBandwidthSerializationFIFO checks the access-link queue's virtual
+// timing: a 1000-byte datagram over a 1 MB/s uplink with 10ms path
+// propagation arrives after 11ms, and a second one sent at the same
+// instant queues behind it, arriving exactly one serialization time
+// later.
 func TestBandwidthSerializationFIFO(t *testing.T) {
 	w := sim.NewWorld(1)
 	n := NewNetwork(w)
 	a := n.Host(addr("10.0.0.1"))
 	b := n.Host(addr("10.0.0.2"))
-	n.SetPath(a.Addr(), b.Addr(), PathParams{Delay: 10 * time.Millisecond, Bandwidth: 1e6})
+	n.SetPath(a.Addr(), b.Addr(), PathParams{Delay: 10 * time.Millisecond})
+	n.SetAccessLink(a.Addr(), AccessProfile{Name: "test", Up: 1e6})
 	srv, _ := b.Listen(ProtoUDP, 53, 0)
 
 	var arrivals []time.Duration
@@ -50,18 +52,19 @@ func TestBandwidthSerializationFIFO(t *testing.T) {
 	}
 }
 
-// TestQueueOverflowTailDrop saturates a bottleneck with more bytes than
-// its queue holds and checks the excess is tail-dropped and counted.
+// TestQueueOverflowTailDrop saturates an access uplink with more bytes
+// than its queue holds and checks the excess is tail-dropped and
+// counted.
 func TestQueueOverflowTailDrop(t *testing.T) {
 	w := sim.NewWorld(1)
 	n := NewNetwork(w)
 	a := n.Host(addr("10.0.0.1"))
 	b := n.Host(addr("10.0.0.2"))
-	n.SetPath(a.Addr(), b.Addr(), PathParams{
-		Delay: time.Millisecond, Bandwidth: 1e6, QueueBytes: 3000,
-	})
+	n.SetPath(a.Addr(), b.Addr(), PathParams{Delay: time.Millisecond})
+	n.SetAccessLink(a.Addr(), AccessProfile{Name: "test", Up: 1e6})
 	srv, _ := b.Listen(ProtoUDP, 53, 0)
-	const total = 10
+	const total = 100
+	const fit = DefaultQueueBytes / 1000
 	w.Go(func() {
 		c := a.Dial(ProtoUDP, 0)
 		for i := 0; i < total; i++ {
@@ -69,11 +72,11 @@ func TestQueueOverflowTailDrop(t *testing.T) {
 		}
 	})
 	w.Run()
-	if srv.RxDatagrams != 3 {
-		t.Errorf("delivered %d datagrams through a 3000B queue, want 3", srv.RxDatagrams)
+	if srv.RxDatagrams != fit {
+		t.Errorf("delivered %d datagrams through a %dB queue, want %d", srv.RxDatagrams, DefaultQueueBytes, fit)
 	}
-	if n.Drops.Overflow != total-3 {
-		t.Errorf("Drops.Overflow = %d, want %d", n.Drops.Overflow, total-3)
+	if n.Drops.Overflow != total-fit {
+		t.Errorf("Drops.Overflow = %d, want %d", n.Drops.Overflow, total-fit)
 	}
 	if n.Drops.Loss != 0 {
 		t.Errorf("Drops.Loss = %d, want 0 (no loss configured)", n.Drops.Loss)
@@ -317,7 +320,7 @@ func TestOccupyDownSharesLink(t *testing.T) {
 	}
 }
 
-// TestSerializationCountsOverhead checks that the bottlenecks
+// TestSerializationCountsOverhead checks that the access links
 // serialize the wire size (payload plus the socket's per-datagram
 // header overhead), matching the package's byte-accounting convention:
 // a 992-byte payload on an overhead-8 socket is 1000 wire bytes, 1ms
@@ -327,7 +330,8 @@ func TestSerializationCountsOverhead(t *testing.T) {
 	n := NewNetwork(w)
 	a := n.Host(addr("10.0.0.1"))
 	b := n.Host(addr("10.0.0.2"))
-	n.SetPath(a.Addr(), b.Addr(), PathParams{Delay: 10 * time.Millisecond, Bandwidth: 1e6})
+	n.SetPath(a.Addr(), b.Addr(), PathParams{Delay: 10 * time.Millisecond})
+	n.SetAccessLink(a.Addr(), AccessProfile{Name: "test", Up: 1e6})
 	srv, _ := b.Listen(ProtoUDP, 53, 8)
 	var at time.Duration
 	w.Go(func() {
@@ -349,15 +353,15 @@ func TestSerializationCountsOverhead(t *testing.T) {
 // bulk-vs-datagram queue semantics: a long OccupyDown reservation
 // delays an interleaved datagram by at most one full queue of
 // serialization time — it must NOT tail-drop it, because a real
-// bounded buffer holds at most QueueBytes of the stream's bytes at
-// once.
+// bounded buffer holds at most DefaultQueueBytes of the stream's bytes
+// at once.
 func TestBulkTransferDelaysButDoesNotStarveDatagrams(t *testing.T) {
 	w := sim.NewWorld(1)
 	n := NewNetwork(w)
 	a := n.Host(addr("10.0.0.1"))
 	b := n.Host(addr("10.0.0.2"))
 	n.SetPath(a.Addr(), b.Addr(), PathParams{Delay: 10 * time.Millisecond})
-	n.SetAccessLink(b.Addr(), AccessProfile{Name: "test", Down: 1e6, QueueBytes: 75000})
+	n.SetAccessLink(b.Addr(), AccessProfile{Name: "test", Down: 1e6})
 	srv, _ := b.Listen(ProtoUDP, 53, 0)
 	var arrivals []time.Duration
 	w.Go(func() {

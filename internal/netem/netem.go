@@ -1,15 +1,15 @@
 // Package netem emulates an Internet of hosts exchanging datagrams over
-// paths with configurable propagation delay, jitter, loss, and MTU, plus
-// a dynamic link model: per-path bottleneck bandwidth with a bounded
-// tail-drop FIFO queue, Gilbert–Elliott two-state burst loss,
+// paths with configurable propagation delay, jitter and loss, plus a
+// dynamic link model: Gilbert–Elliott two-state burst loss,
 // time-varying path schedules, and per-host access links drawn from
-// named access-network profiles (see profiles.go).
+// named access-network profiles (see profiles.go), each a bandwidth
+// bottleneck with a bounded tail-drop FIFO queue. Datagrams larger than
+// DefaultMTU are dropped.
 //
 // netem sits directly on top of the sim kernel: sending a datagram
 // schedules its delivery at Now()+delay to the destination socket, where
-// delay includes propagation, serialization through every bottleneck on
-// the way (path and access links), and queueing behind earlier
-// datagrams. Delivery runs inline in the scheduler (sim.AfterCall) and
+// delay includes propagation, serialization through the access links on
+// the way, and queueing behind earlier datagrams. Delivery runs inline in the scheduler (sim.AfterCall) and
 // calls the socket's receive handler directly; sockets without one
 // queue the datagram for Recv. Transport protocols (internal/tcpsim,
 // internal/quic) and plain UDP applications all run over netem sockets.
@@ -63,25 +63,13 @@ type PathParams struct {
 	// survives schedule changes, so a bad burst can straddle a phase
 	// boundary exactly like a real fade.
 	Burst BurstLoss
-	// MTU caps the datagram payload size; larger datagrams are dropped.
-	// Zero means 1500.
-	MTU int
-	// Bandwidth is the bottleneck rate in bytes/second. Zero means
-	// infinitely fast (no serialization delay, no queue). A positive
-	// value serializes every datagram through a FIFO queue on virtual
-	// time: a datagram departs at max(now, link busy-until) + size/rate.
-	Bandwidth float64
-	// QueueBytes bounds the bottleneck queue: a datagram whose arrival
-	// would push the backlog past this many bytes is tail-dropped
-	// (counted in Drops.Overflow). Zero means DefaultQueueBytes.
-	QueueBytes int
 }
 
-// DefaultMTU is used when PathParams.MTU is zero.
+// DefaultMTU caps the datagram payload size on every path; larger
+// datagrams are dropped (counted in Drops.MTU).
 const DefaultMTU = 1500
 
-// DefaultQueueBytes is the bottleneck queue bound used when
-// PathParams.QueueBytes (or AccessProfile.QueueBytes) is zero: 50
+// DefaultQueueBytes bounds each access-link direction's queue: 50
 // full-size datagrams, a common router default.
 const DefaultQueueBytes = 50 * DefaultMTU
 
@@ -123,11 +111,11 @@ type Datagram struct {
 type Drops struct {
 	// Loss counts random-loss drops (independent or burst-state).
 	Loss int
-	// MTU counts datagrams larger than the path MTU.
+	// MTU counts datagrams larger than DefaultMTU.
 	MTU int
 	// NoRoute counts datagrams to unknown hosts or unbound ports.
 	NoRoute int
-	// Overflow counts bottleneck-queue tail drops.
+	// Overflow counts access-link queue tail drops.
 	Overflow int
 	// Blocked counts silent middlebox-policy drops (port blocks and UDP
 	// blackholes without active rejection).
@@ -135,13 +123,11 @@ type Drops struct {
 	// Rejected counts middlebox-policy drops that actively notified the
 	// sender (ICMP-style reject, injected RST).
 	Rejected int
-	// Clamped counts datagrams over a policy's ClampMTU.
-	Clamped int
 }
 
 // Total sums all causes.
 func (d Drops) Total() int {
-	return d.Loss + d.MTU + d.NoRoute + d.Overflow + d.Blocked + d.Rejected + d.Clamped
+	return d.Loss + d.MTU + d.NoRoute + d.Overflow + d.Blocked + d.Rejected
 }
 
 // Network is the root object: a set of hosts and the paths between them.
@@ -192,6 +178,7 @@ type pathKey struct{ src, dst netip.Addr }
 
 // linkState is the mutable per-directional-link state: the FIFO clock,
 // the datagram backlog bucket, and the Gilbert–Elliott chain state.
+// Paths use only the chain state; access links use all of it.
 //
 // busyUntil tracks all occupancy (datagrams plus OccupyDown bulk
 // reservations). The tail-drop bound judges only dgBytes — the bytes
@@ -293,10 +280,10 @@ func (n *Network) SetSymmetricPath(a, b netip.Addr, p PathParams) {
 // path from src to dst: from steps[i].At (virtual time) onward the
 // path uses steps[i].Params, until the next step takes over; the last
 // step holds forever. Before steps[0].At the static SetPath (or
-// default) parameters apply. Steps must be in ascending At order. Link
-// state — queue backlog and burst-loss state — persists across steps,
-// so a path can degrade and recover mid-campaign without resetting its
-// bottleneck. An empty steps slice removes the schedule.
+// default) parameters apply. Steps must be in ascending At order.
+// Burst-loss state persists across steps, so a path can degrade and
+// recover mid-campaign without resetting its chain. An empty steps
+// slice removes the schedule.
 func (n *Network) SetPathSchedule(src, dst netip.Addr, steps []PathStep) {
 	n.setPathSchedule(pathKey{src, dst}, append([]PathStep(nil), steps...))
 }
@@ -450,20 +437,17 @@ func (n *Network) lossPass(ls *linkState, loss float64, burst BurstLoss) bool {
 	return true
 }
 
-// serialize pushes size bytes through a bottleneck of rate bytes/second
-// with the datagram arriving at the bottleneck at arrive. It returns
-// the departure time and whether the datagram fit in the queue: the
-// tail-drop bound (queueBytes) judges the datagram-only backlog, while
-// bulk OccupyDown reservations add waiting time capped at one full
-// queue of serialization (the datagram sits behind at most queueBytes
-// of the stream's bytes). rate <= 0 means an unshaped link: depart
-// immediately.
-func (n *Network) serialize(ls *linkState, rate float64, queueBytes int, size int, arrive time.Duration) (time.Duration, bool) {
+// serialize pushes size bytes through an access-link direction of rate
+// bytes/second with the datagram arriving at the bottleneck at arrive.
+// It returns the departure time and whether the datagram fit in the
+// queue: the tail-drop bound (DefaultQueueBytes) judges the
+// datagram-only backlog, while bulk OccupyDown reservations add waiting
+// time capped at one full queue of serialization (the datagram sits
+// behind at most DefaultQueueBytes of the stream's bytes). rate <= 0
+// means an unshaped link: depart immediately.
+func (n *Network) serialize(ls *linkState, rate float64, size int, arrive time.Duration) (time.Duration, bool) {
 	if rate <= 0 {
 		return arrive, true
-	}
-	if queueBytes == 0 {
-		queueBytes = DefaultQueueBytes
 	}
 	// Drain the datagram byte bucket at link rate. Arrivals at one link
 	// are monotone in virtual time (same-pair sends are ordered, and
@@ -475,7 +459,7 @@ func (n *Network) serialize(ls *linkState, rate float64, queueBytes int, size in
 		}
 		ls.dgAsOf = arrive
 	}
-	if ls.dgBytes+size > queueBytes {
+	if ls.dgBytes+size > DefaultQueueBytes {
 		return 0, false
 	}
 	ls.dgBytes += size
@@ -484,7 +468,7 @@ func (n *Network) serialize(ls *linkState, rate float64, queueBytes int, size in
 	// serialization time; datagrams then drain serially (dgDepart).
 	start := arrive
 	if ls.busyUntil > start {
-		start = min(ls.busyUntil, arrive+time.Duration(float64(queueBytes)/rate*float64(time.Second)))
+		start = min(ls.busyUntil, arrive+time.Duration(float64(DefaultQueueBytes)/rate*float64(time.Second)))
 	}
 	if ls.dgDepart > start {
 		start = ls.dgDepart
@@ -497,17 +481,16 @@ func (n *Network) serialize(ls *linkState, rate float64, queueBytes int, size in
 	return depart, true
 }
 
-// send routes a datagram, applying the path model: loss (burst and
-// independent), the bottleneck queue, access links on both ends, then
-// propagation delay and jitter. Drops are counted by cause in Drops.
-// wire is the datagram's on-the-wire size (payload plus the sending
-// socket's per-datagram header overhead), the size the bottlenecks
-// serialize — matching the package's byte-accounting convention.
+// send routes a datagram, applying the path model: the MTU check, the
+// access links on both ends, the path's loss (burst and independent),
+// then propagation delay and jitter. Drops are counted by cause in
+// Drops. wire is the datagram's on-the-wire size (payload plus the
+// sending socket's per-datagram header overhead), the size the access
+// links serialize — matching the package's byte-accounting convention.
 //
-// The uplink leg and the path bottleneck are processed at send time:
-// both sit at the sender, and all traffic sharing them originates from
-// the same host, so send order equals bottleneck-arrival order. The
-// downlink leg is deferred to the datagram's arrival at the receiver's
+// The uplink leg is processed at send time: it sits at the sender, and
+// all traffic sharing it originates from the same host, so send order
+// equals bottleneck-arrival order. The downlink leg is deferred to the datagram's arrival at the receiver's
 // access link (a second timer): that bottleneck is shared by flows
 // with different path delays, and serializing it at send time would
 // queue datagrams in send order rather than in the order their bytes
@@ -523,11 +506,7 @@ func (n *Network) send(d Datagram, wire int) {
 	if n.havePolicies() && n.policyDrop(key, d, p.Delay) {
 		return
 	}
-	mtu := p.MTU
-	if mtu == 0 {
-		mtu = DefaultMTU
-	}
-	if len(d.Payload) > mtu {
+	if len(d.Payload) > DefaultMTU {
 		n.Drops.MTU++
 		n.pool.Put(d.Payload)
 		return
@@ -542,7 +521,7 @@ func (n *Network) send(d Datagram, wire int) {
 			n.pool.Put(d.Payload)
 			return
 		}
-		depart, ok := n.serialize(&al.up, al.prof.Up, al.prof.QueueBytes, wire, at)
+		depart, ok := n.serialize(&al.up, al.prof.Up, wire, at)
 		if !ok {
 			n.Drops.Overflow++
 			n.pool.Put(d.Payload)
@@ -551,20 +530,13 @@ func (n *Network) send(d Datagram, wire int) {
 		at = depart + al.prof.ExtraDelay
 	}
 
-	// The path itself: loss models, then the bottleneck queue.
-	ls := n.link(key)
-	if !n.lossPass(ls, p.Loss, p.Burst) {
+	// The path itself: its loss models only.
+	if !n.lossPass(n.link(key), p.Loss, p.Burst) {
 		n.Drops.Loss++
 		n.pool.Put(d.Payload)
 		return
 	}
-	depart, ok := n.serialize(ls, p.Bandwidth, p.QueueBytes, wire, at)
-	if !ok {
-		n.Drops.Overflow++
-		n.pool.Put(d.Payload)
-		return
-	}
-	at = depart + p.Delay
+	at += p.Delay
 	if p.Jitter > 0 {
 		at += time.Duration(n.rng.Int63n(int64(p.Jitter)))
 	}
@@ -585,7 +557,7 @@ func (n *Network) arrive(fl *inflight) {
 			n.putInflight(fl)
 			return
 		}
-		depart, ok := n.serialize(&al.down, al.prof.Down, al.prof.QueueBytes, fl.wire, arrive)
+		depart, ok := n.serialize(&al.down, al.prof.Down, fl.wire, arrive)
 		if !ok {
 			n.Drops.Overflow++
 			n.pool.Put(fl.d.Payload)

@@ -6,17 +6,17 @@ import (
 )
 
 // Policy describes middlebox interference on a directional path: port
-// blocking, UDP blackholing, MTU clamping, and active rejection (an
-// ICMP-style unreachable for UDP, an injected RST for TCP). The zero
-// Policy does nothing; install one with SetPolicy.
+// blocking, UDP blackholing, and active rejection (an ICMP-style
+// unreachable for UDP, an injected RST for TCP). The zero Policy does
+// nothing; install one with SetPolicy.
 //
-// A policy is evaluated at send time, before the path's own loss and
-// queue models: a middlebox sits on the path, so a datagram it eats
-// never contends for the bottleneck. Silent drops are counted in
+// A policy is evaluated at send time, before the access links and the
+// path's loss models: a middlebox sits on the path, so a datagram it
+// eats never contends for a bottleneck. Silent drops are counted in
 // Drops.Blocked; active rejections in Drops.Rejected (and the sender
 // receives a Reject-marked notification datagram after a full path
 // round trip, modelling the middlebox answering from the far network
-// edge); clamp drops in Drops.Clamped.
+// edge).
 type Policy struct {
 	// BlockUDPPorts and BlockTCPPorts drop datagrams to these
 	// destination ports.
@@ -33,16 +33,12 @@ type Policy struct {
 	// receives a Reject-marked datagram, which the TCP transport
 	// surfaces as a connection reset.
 	RSTInject bool
-	// ClampMTU silently drops datagrams whose payload exceeds this many
-	// bytes (a path-MTU blackhole: no fragmentation, no ICMP). Zero
-	// disables the clamp.
-	ClampMTU int
 }
 
 // Active reports whether the policy interferes with anything.
 func (p Policy) Active() bool {
 	return len(p.BlockUDPPorts) > 0 || len(p.BlockTCPPorts) > 0 ||
-		p.BlockAllUDP || p.ClampMTU > 0
+		p.BlockAllUDP
 }
 
 // match reports whether the policy blocks the datagram, and if so
@@ -106,11 +102,6 @@ func (n *Network) policyDrop(key pathKey, d Datagram, delay time.Duration) bool 
 			n.Drops.Blocked++
 			n.pool.Put(d.Payload)
 		}
-		return true
-	}
-	if pol.ClampMTU > 0 && len(d.Payload) > pol.ClampMTU {
-		n.Drops.Clamped++
-		n.pool.Put(d.Payload)
 		return true
 	}
 	return false

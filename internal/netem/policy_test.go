@@ -110,29 +110,6 @@ func TestPolicyRSTInjectOnTCP(t *testing.T) {
 	}
 }
 
-// TestPolicyClampMTU checks the policy clamp drops oversized datagrams
-// silently and independently of the path MTU.
-func TestPolicyClampMTU(t *testing.T) {
-	w := sim.NewWorld(1)
-	n := NewNetwork(w)
-	a := n.Host(addr("10.0.0.1"))
-	b := n.Host(addr("10.0.0.2"))
-	n.SetPolicy(a.Addr(), b.Addr(), Policy{ClampMTU: 600})
-	srv, _ := b.Listen(ProtoUDP, 53, 8)
-	w.Go(func() {
-		c := a.Dial(ProtoUDP, 8)
-		c.Send(srv.LocalAddr(), make([]byte, 601))
-		c.Send(srv.LocalAddr(), make([]byte, 600))
-	})
-	w.Run()
-	if srv.RxDatagrams != 1 {
-		t.Errorf("RxDatagrams = %d, want 1 (over-clamp dropped)", srv.RxDatagrams)
-	}
-	if n.Drops.Clamped != 1 || n.Drops.MTU != 0 {
-		t.Errorf("Drops = %+v, want 1 Clamped, 0 MTU", n.Drops)
-	}
-}
-
 // TestDropsTotalAgreesUnderMixedCauses exercises every drop cause at
 // once and checks Total() equals the sum of the per-cause counters and
 // the delivered+dropped ledger balances.
@@ -146,7 +123,6 @@ func TestDropsTotalAgreesUnderMixedCauses(t *testing.T) {
 		BlockUDPPorts: []uint16{853},
 		BlockTCPPorts: []uint16{853},
 		RSTInject:     true,
-		ClampMTU:      1000,
 	})
 	// A second pair with pure loss, outside the policy.
 	c := n.Host(addr("10.0.0.3"))
@@ -160,19 +136,18 @@ func TestDropsTotalAgreesUnderMixedCauses(t *testing.T) {
 		u.Send(netip.AddrPortFrom(b.Addr(), 853), []byte("blocked"))  // Blocked
 		u.Send(netip.AddrPortFrom(b.Addr(), 853), []byte("blocked2")) // Blocked
 		tc.Send(netip.AddrPortFrom(b.Addr(), 853), []byte("SYN"))     // Rejected
-		u.Send(srv.LocalAddr(), make([]byte, 1001))                   // Clamped
-		u.Send(srv.LocalAddr(), make([]byte, DefaultMTU+1))           // MTU... clamped first
+		u.Send(srv.LocalAddr(), make([]byte, DefaultMTU+1))           // MTU
 		u.Send(netip.AddrPortFrom(b.Addr(), 99), []byte("nobody"))    // NoRoute
 		u.Send(netip.AddrPortFrom(c.Addr(), 53), []byte("lossy"))     // Loss
 		u.Send(srv.LocalAddr(), []byte("ok"))                         // delivered
-		total = 8
+		total = 7
 	})
 	w.Run()
 	d := n.Drops
-	if d.Blocked != 2 || d.Rejected != 1 || d.Clamped != 2 || d.NoRoute != 1 || d.Loss != 1 {
-		t.Errorf("Drops = %+v, want Blocked 2, Rejected 1, Clamped 2, NoRoute 1, Loss 1", d)
+	if d.Blocked != 2 || d.Rejected != 1 || d.MTU != 1 || d.NoRoute != 1 || d.Loss != 1 {
+		t.Errorf("Drops = %+v, want Blocked 2, Rejected 1, MTU 1, NoRoute 1, Loss 1", d)
 	}
-	if sum := d.Loss + d.MTU + d.NoRoute + d.Overflow + d.Blocked + d.Rejected + d.Clamped; d.Total() != sum {
+	if sum := d.Loss + d.MTU + d.NoRoute + d.Overflow + d.Blocked + d.Rejected; d.Total() != sum {
 		t.Errorf("Total() = %d, want %d (sum of causes)", d.Total(), sum)
 	}
 	if d.Total()+n.Delivered != total {

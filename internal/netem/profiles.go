@@ -22,8 +22,6 @@ type AccessProfile struct {
 	// Burst adds Gilbert–Elliott burst loss (fades, handovers). Burst
 	// state is kept per direction.
 	Burst BurstLoss
-	// QueueBytes bounds each direction's queue (0 = DefaultQueueBytes).
-	QueueBytes int
 }
 
 // The named access-network profiles of the E19–E21 grids, ordered from

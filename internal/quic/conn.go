@@ -20,13 +20,12 @@ type Config struct {
 	ServerName string
 
 	// TLS state.
-	Identity              *tlsmini.Identity
-	SessionCache          *tlsmini.SessionCache
-	TicketStore           *tlsmini.TicketStore
-	AcceptEarlyData       bool
-	OfferEarlyData        bool
-	DisableSessionTickets bool
-	TLSVersion            tlsmini.Version
+	Identity        *tlsmini.Identity
+	SessionCache    *tlsmini.SessionCache
+	TicketStore     *tlsmini.TicketStore
+	AcceptEarlyData bool
+	OfferEarlyData  bool
+	TLSVersion      tlsmini.Version
 
 	// Versions lists the supported wire versions: for servers the
 	// acceptance set, for clients the preference order (first is tried
@@ -366,18 +365,17 @@ func (c *Conn) teardown(err error) {
 
 func (c *Conn) tlsConfig() tlsmini.Config {
 	return tlsmini.Config{
-		IsClient:              c.isClient,
-		ServerName:            c.cfg.ServerName,
-		ALPN:                  c.cfg.ALPN,
-		Identity:              c.cfg.Identity,
-		Version:               c.cfg.TLSVersion,
-		SessionCache:          c.cfg.SessionCache,
-		TicketStore:           c.cfg.TicketStore,
-		DisableSessionTickets: c.cfg.DisableSessionTickets,
-		AcceptEarlyData:       c.cfg.AcceptEarlyData,
-		OfferEarlyData:        c.cfg.OfferEarlyData,
-		Rand:                  c.cfg.Rand,
-		Now:                   c.cfg.Now,
+		IsClient:        c.isClient,
+		ServerName:      c.cfg.ServerName,
+		ALPN:            c.cfg.ALPN,
+		Identity:        c.cfg.Identity,
+		Version:         c.cfg.TLSVersion,
+		SessionCache:    c.cfg.SessionCache,
+		TicketStore:     c.cfg.TicketStore,
+		AcceptEarlyData: c.cfg.AcceptEarlyData,
+		OfferEarlyData:  c.cfg.OfferEarlyData,
+		Rand:            c.cfg.Rand,
+		Now:             c.cfg.Now,
 	}
 }
 

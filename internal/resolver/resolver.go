@@ -51,9 +51,6 @@ type Profile struct {
 	// AcceptEarlyData is false for every public resolver in the paper;
 	// the E11 ablation turns it on.
 	AcceptEarlyData bool
-	// DisableSessionTickets models a resolver without Session
-	// Resumption (none observed; E10 ablates it on the client instead).
-	DisableSessionTickets bool
 
 	// ResponseRate is the probability a query is answered at all.
 	ResponseRate float64
@@ -64,9 +61,6 @@ type Profile struct {
 	RecursiveRTT time.Duration
 	// CacheTTL bounds how long answers stay cached.
 	CacheTTL time.Duration
-	// CacheCapacity bounds the answer cache's entry count (LRU
-	// eviction); 0 means unbounded, the public-resolver default.
-	CacheCapacity int
 }
 
 // PopulationParams controls profile synthesis.
@@ -158,7 +152,7 @@ func Start(host *netem.Host, prof Profile, rng *rand.Rand) (*Resolver, error) {
 		host:    host,
 		w:       w,
 		rng:     rng,
-		cache:   cache.New(w.Now, prof.CacheCapacity),
+		cache:   cache.New(w.Now, 0),
 		Queries: make(map[dox.Protocol]int),
 	}
 	identity := tlsmini.GenerateIdentity(rng, prof.Name, prof.CertChainSize)
@@ -167,16 +161,15 @@ func Start(host *netem.Host, prof Profile, rng *rand.Rand) (*Resolver, error) {
 		tlsVersion = tlsmini.VersionTLS12
 	}
 	cfg := dox.ServerConfig{
-		Handler:               r.handle,
-		Identity:              identity,
-		TicketStore:           tlsmini.NewTicketStore(),
-		DisableSessionTickets: prof.DisableSessionTickets,
-		AcceptEarlyData:       prof.AcceptEarlyData,
-		TLSVersion:            tlsVersion,
-		QUICVersions:          []uint32{prof.QUICVersion},
-		DoQALPN:               prof.DoQALPN,
-		DoQPort:               prof.DoQPort,
-		TokenKey:              []byte(prof.Name + "-token-key"),
+		Handler:         r.handle,
+		Identity:        identity,
+		TicketStore:     tlsmini.NewTicketStore(),
+		AcceptEarlyData: prof.AcceptEarlyData,
+		TLSVersion:      tlsVersion,
+		QUICVersions:    []uint32{prof.QUICVersion},
+		DoQALPN:         prof.DoQALPN,
+		DoQPort:         prof.DoQPort,
+		TokenKey:        []byte(prof.Name + "-token-key"),
 	}
 	r.server = dox.NewServer(simnet.New(host, rng), cfg)
 	type ent struct {

@@ -47,9 +47,8 @@ type UniverseConfig struct {
 	// ResolverCounts defaults to the paper's 313-resolver distribution.
 	// Tests and benchmarks use scaled-down counts with the same shape.
 	ResolverCounts map[geo.Continent]int
-	// Loss is the per-path datagram drop rate (default 0.3%), the source
-	// of the paper's retransmission-tail observations. The zero value
-	// selects the default; a truly lossless universe — the clean cached
+	// Loss is the per-path datagram drop rate. The zero value selects
+	// DefaultLoss; a truly lossless universe — the clean cached
 	// baseline of E17 — is requested with the NoLoss sentinel (any
 	// negative value), since 0 cannot distinguish "unset" from "none".
 	Loss float64
@@ -133,10 +132,14 @@ type Blueprint struct {
 }
 
 // NoLoss is the UniverseConfig.Loss sentinel for a truly lossless
-// universe. Loss == 0 means "use the 0.3% default" (the config trap
-// this sentinel resolves), so a zero-loss path needs an explicit
-// request.
+// universe. Loss == 0 means "use DefaultLoss" (the config trap this
+// sentinel resolves), so a zero-loss path needs an explicit request.
 const NoLoss = -1.0
+
+// DefaultLoss is the per-path datagram drop rate every campaign runs
+// at (0.3%), the source of the paper's retransmission-tail
+// observations.
+const DefaultLoss = 0.003
 
 // NewBlueprint synthesizes the population described by cfg without
 // binding it to a World.
@@ -145,7 +148,7 @@ func NewBlueprint(cfg UniverseConfig) (*Blueprint, error) {
 	case cfg.Loss < 0: // NoLoss (or any negative): genuinely lossless
 		cfg.Loss = 0
 	case cfg.Loss == 0:
-		cfg.Loss = 0.003
+		cfg.Loss = DefaultLoss
 	}
 	if cfg.Jitter == 0 {
 		cfg.Jitter = time.Millisecond

@@ -370,9 +370,6 @@ type FunnelConfig struct {
 	// Parallelism caps the worker pool (0 = GOMAXPROCS); it never
 	// affects the funnel result.
 	Parallelism int
-	// TargetBlock is the shard granularity in targets (default 256).
-	// Part of the shard plan (changing it changes shard seeds).
-	TargetBlock int
 }
 
 // Probe timing: every probe path has a uniform delay and no loss (the
@@ -382,6 +379,10 @@ const (
 	probeTimeout   = 2 * time.Second
 )
 
+// targetBlock is the shard granularity in targets. Part of the shard
+// plan: changing it changes shard seeds.
+const targetBlock = 256
+
 // RunFunnel executes the discovery scan as a sharded campaign: the
 // population is planned once (a pure function of Seed and Spec), split
 // into contiguous target blocks, and every block is probed inside a
@@ -389,16 +390,13 @@ const (
 // additively in shard order, so the result is identical at any
 // parallelism level.
 func RunFunnel(cfg FunnelConfig) (FunnelResult, error) {
-	if cfg.TargetBlock == 0 {
-		cfg.TargetBlock = 256
-	}
 	planRng := rand.New(rand.NewSource(sim.DeriveSeed(cfg.Seed, 0x5CA4)))
 	plans, err := PlanPopulation(planRng, cfg.Spec)
 	if err != nil {
 		return FunnelResult{}, err
 	}
 	identitySeed := sim.DeriveSeed(cfg.Seed, 0x1DE47)
-	blocks := campaign.Blocks(len(plans), cfg.TargetBlock)
+	blocks := campaign.Blocks(len(plans), targetBlock)
 	parts, err := campaign.RunErr(cfg.Seed, len(blocks), cfg.Parallelism, func(s campaign.Shard) (FunnelResult, error) {
 		blk := blocks[s.Index]
 		w := sim.NewWorld(s.Seed)

@@ -150,13 +150,17 @@ func TestFunnelSmallPopulation(t *testing.T) {
 	}
 }
 
-// TestFunnelShardedMatchesSpec runs the sharded funnel and expects the
-// lossless scan to recover the spec exactly, like the single-World path.
+// TestFunnelShardedMatchesSpec runs the sharded funnel over a
+// population that spans several target blocks and expects the lossless
+// scan to recover the spec exactly, like the single-World path.
 func TestFunnelShardedMatchesSpec(t *testing.T) {
-	spec := PaperSpec().Scaled(16)
-	res, err := RunFunnel(FunnelConfig{Seed: 9, Spec: spec, Parallelism: 4, TargetBlock: 16})
+	spec := PaperSpec().Scaled(4)
+	res, err := RunFunnel(FunnelConfig{Seed: 9, Spec: spec, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Probed <= targetBlock {
+		t.Fatalf("probed %d targets, want more than one %d-target block", res.Probed, targetBlock)
 	}
 	if res.DoQVerified != spec.DoQResolvers {
 		t.Errorf("DoQ verified = %d, want %d", res.DoQVerified, spec.DoQResolvers)
@@ -178,9 +182,8 @@ func TestFunnelDeterministicAcrossParallelism(t *testing.T) {
 	run := func(par int) FunnelResult {
 		res, err := RunFunnel(FunnelConfig{
 			Seed:        9,
-			Spec:        PaperSpec().Scaled(16),
+			Spec:        PaperSpec().Scaled(4),
 			Parallelism: par,
-			TargetBlock: 16,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -25,8 +25,6 @@ type Config struct {
 	SessionCache *SessionCache
 	// TicketStore enables server-side resumption when non-nil.
 	TicketStore *TicketStore
-	// DisableSessionTickets stops the server from issuing tickets.
-	DisableSessionTickets bool
 	// AcceptEarlyData lets the server accept 0-RTT. The paper found no
 	// public resolver enabling this; it is the E11 ablation.
 	AcceptEarlyData bool
@@ -456,7 +454,7 @@ func (e *Engine) handleServer(m Message) ([]Message, error) {
 		}
 		e.hashMsg(m)
 		e.state = stDone
-		if e.cfg.DisableSessionTickets || e.cfg.TicketStore == nil {
+		if e.cfg.TicketStore == nil {
 			return nil, nil
 		}
 		return []Message{e.issueTicket()}, nil
