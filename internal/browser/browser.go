@@ -41,6 +41,8 @@ const (
 type Engine struct {
 	Backend netapi.Backend
 	Proxy   netip.AddrPort
+
+	hosts *netapi.Spawner[hostLoad] // per-host fetch tasks, built on first Load
 }
 
 // Result is one page load's outcome.
@@ -48,7 +50,6 @@ type Result struct {
 	FCP        time.Duration
 	PLT        time.Duration
 	DNSQueries int
-	DNSTime    time.Duration // cumulative stub-observed resolution time
 	Err        error
 }
 
@@ -61,14 +62,13 @@ func (e *Engine) accessDelay() time.Duration {
 
 // resolve performs one stub lookup through the proxy, with Chromium's
 // application-layer retransmission.
-func (e *Engine) resolve(name string, qid uint16) (netip.Addr, time.Duration, error) {
+func (e *Engine) resolve(name string, qid uint16) error {
 	rt := e.Backend
 	sock, err := rt.DialUDP(8)
 	if err != nil {
-		return netip.Addr{}, 0, err
+		return err
 	}
 	defer sock.Close()
-	start := rt.Now()
 	q := dnsmsg.NewQuery(qid, name, dnsmsg.TypeA)
 	pool := sock.Pool()
 	for attempt := 0; attempt <= stubRetries; attempt++ {
@@ -85,14 +85,13 @@ func (e *Engine) resolve(name string, qid uint16) (netip.Addr, time.Duration, er
 			if err != nil || resp.ID != qid {
 				continue
 			}
-			addr, ok := resp.FirstA()
-			if !ok {
-				return netip.Addr{}, 0, fmt.Errorf("browser: no A record for %s", name)
+			if _, ok := resp.FirstA(); !ok {
+				return fmt.Errorf("browser: no A record for %s", name)
 			}
-			return addr, rt.Now() - start, nil
+			return nil
 		}
 	}
-	return netip.Addr{}, rt.Now() - start, fmt.Errorf("browser: resolution of %s timed out", name)
+	return fmt.Errorf("browser: resolution of %s timed out", name)
 }
 
 // fetch models retrieving size bytes over an established connection:
@@ -126,14 +125,11 @@ func (e *Engine) Load(p *pages.Page) Result {
 	start := rt.Now()
 	res := Result{}
 
-	addr, dnsTime, err := e.resolve(p.URL, 1)
-	if err != nil {
+	if err := e.resolve(p.URL, 1); err != nil {
 		res.Err = err
 		return res
 	}
-	_ = addr
 	res.DNSQueries++
-	res.DNSTime += dnsTime
 
 	// Connect to the landing origin and fetch the HTML.
 	rt.Sleep(e.connSetup(p.OriginRTT))
@@ -153,8 +149,8 @@ func (e *Engine) Load(p *pages.Page) Result {
 		hw.resources = append(hw.resources, r)
 	}
 
-	// Per-host fetch tasks spawn through a pre-bound adapter sharing one
-	// loadState instead of per-host closures over the local variables.
+	// Per-host fetch tasks share one loadState instead of per-host
+	// closures over the local variables.
 	ls := &loadState{
 		e:            e,
 		p:            p,
@@ -163,9 +159,12 @@ func (e *Engine) Load(p *pages.Page) Result {
 		criticalDone: htmlDone,
 		allDone:      htmlDone,
 	}
+	if e.hosts == nil {
+		e.hosts = netapi.NewSpawner(rt, loadHost)
+	}
 	for i, host := range order {
 		ls.wg.Add(1)
-		rt.GoCall(loadHostJob, &hostJob{ls: ls, hw: byHost[host], qid: uint16(i + 2)})
+		e.hosts.Go(hostLoad{ls: ls, hw: byHost[host], qid: uint16(i + 2)})
 	}
 	ls.wg.Wait()
 	if ls.firstErr != nil {
@@ -200,31 +199,28 @@ type loadState struct {
 	allDone      time.Duration
 }
 
-type hostJob struct {
+// hostLoad is one per-host fetch task of a Load.
+type hostLoad struct {
 	ls  *loadState
 	hw  *hostWork
 	qid uint16
 }
 
-// loadHostJob resolves (if third-party) and fetches one host's assets;
-// it is the pre-bound adapter shared by all per-host tasks.
-func loadHostJob(v any) {
-	j := v.(*hostJob)
+// loadHost resolves (if third-party) and fetches one host's assets.
+func loadHost(j hostLoad) {
 	ls, hw := j.ls, j.hw
 	defer ls.wg.Done()
 	rt := ls.e.Backend
 	// The landing host is already resolved and connected; third
 	// parties need DNS + connection setup.
 	if hw.host != ls.p.URL {
-		_, dt, err := ls.e.resolve(hw.host, j.qid)
-		if err != nil {
+		if err := ls.e.resolve(hw.host, j.qid); err != nil {
 			if ls.firstErr == nil {
 				ls.firstErr = err
 			}
 			return
 		}
 		ls.res.DNSQueries++
-		ls.res.DNSTime += dt
 		rt.Sleep(ls.e.connSetup(ls.p.OriginRTT))
 	}
 	for _, r := range hw.resources {

@@ -152,12 +152,6 @@ type Proxy struct {
 	primary   dox.Client
 	ephemeral []dox.Client
 
-	// fwdFn is the per-query task body, bound once; dgFree recycles the
-	// packet boxes it is handed, so spawning a forward task allocates
-	// neither a closure nor a carrier (GoCall + free list).
-	fwdFn  func(any)
-	dgFree []*netapi.Packet
-
 	// inflight maps a query key to its coalesced flight. The map is
 	// only ever indexed, never iterated, so it leaks no ordering.
 	inflight   map[cache.Key]*flight
@@ -181,8 +175,6 @@ type Proxy struct {
 	Revalidations    int // stale entries refreshed after upstream recovery
 	Prefetches       int // hot-name refreshes issued before expiry
 	Refused          int // queries rejected by the rate limiter
-	UpstreamRetries  int // exchanges retried over a fresh session
-	Migrations       int // upstream connections that survived a link flip
 
 	// StaleAge sketches the staleness (age past expiry) of every
 	// stale-served answer, for the E23 staleness CDF. Nil unless
@@ -235,35 +227,14 @@ func New(be netapi.Backend, cfg Config) (*Proxy, error) {
 	if cfg.RateLimitQPS > 0 {
 		p.buckets = make(map[netip.AddrPort]*tokenBucket)
 	}
-	p.fwdFn = func(a any) {
-		dg := a.(*netapi.Packet)
-		d := *dg
-		*dg = netapi.Packet{}
-		p.dgFree = append(p.dgFree, dg)
-		p.forward(d)
-	}
-	sock.Handle(p.serve, nil)
+	// Forwarding blocks on the upstream exchange, so each stub query
+	// runs in a task of its own.
+	sock.Handle(netapi.NewSpawner(be, p.forward).Go, nil)
 	return p, nil
 }
 
 // Addr returns the local address Chromium's stub should query.
 func (p *Proxy) Addr() netip.AddrPort { return p.sock.LocalAddr() }
-
-// serve is the listening socket's receive handler: it hands each stub
-// query to a forward task of its own, since forwarding blocks on the
-// upstream exchange.
-func (p *Proxy) serve(d netapi.Packet) {
-	var dg *netapi.Packet
-	if n := len(p.dgFree); n > 0 {
-		dg = p.dgFree[n-1]
-		p.dgFree[n-1] = nil
-		p.dgFree = p.dgFree[:n-1]
-	} else {
-		dg = new(netapi.Packet)
-	}
-	*dg = d
-	p.be.GoCall(p.fwdFn, dg)
-}
 
 // queryKey extracts the coalescing/cache key of a query's first
 // question. ok is false for questionless messages.
@@ -364,7 +335,7 @@ func (p *Proxy) forward(d netapi.Packet) {
 // — otherwise the refresh chain would feed its own idle horizon and never
 // die. Returns nil on failure.
 func (p *Proxy) exchange(q *dnsmsg.Message, internal bool) *dnsmsg.Message {
-	client, transient, err := p.client()
+	client, err := p.client()
 	if err != nil {
 		p.Failures++
 		return nil
@@ -377,7 +348,7 @@ func (p *Proxy) exchange(q *dnsmsg.Message, internal bool) *dnsmsg.Message {
 	p.qid++
 	q.ID = p.qid
 	resp, err := client.Query(q)
-	if err != nil && p.cfg.RetryUpstream && !transient && !p.closed {
+	if err != nil && p.cfg.RetryUpstream && !p.closed {
 		// The session died under the query (the access network flipped,
 		// the peer reset): retry once over a fresh session. Only the
 		// first failing exchange resets the shared primary — a
@@ -386,15 +357,11 @@ func (p *Proxy) exchange(q *dnsmsg.Message, internal bool) *dnsmsg.Message {
 		if p.primary == client {
 			p.ResetSessions()
 		}
-		if rc, _, rerr := p.client(); rerr == nil {
-			p.UpstreamRetries++
+		if rc, rerr := p.client(); rerr == nil {
 			resp, err = rc.Query(q)
 		}
 	}
 	q.ID = orig
-	if transient {
-		client.Close()
-	}
 	if err != nil {
 		p.Failures++
 		return nil
@@ -434,14 +401,14 @@ func (p *Proxy) allow(src netip.AddrPort) bool {
 
 // answerStale serves src from a fresh-or-stale stub entry after a failed
 // upstream exchange, arming background revalidation when the answer was
-// genuinely stale. Reports whether an answer was sent.
-func (p *Proxy) answerStale(key cache.Key, src netip.AddrPort, id uint16) bool {
+// genuinely stale.
+func (p *Proxy) answerStale(key cache.Key, src netip.AddrPort, id uint16) {
 	if !p.cfg.ServeStale || p.closed {
-		return false
+		return
 	}
 	ent, ok := p.stub.LookupStale(key)
 	if !ok {
-		return false
+		return
 	}
 	ttl := cache.StaleAdvertTTL
 	if rem := ent.Remaining(p.be.Now()); rem > 0 {
@@ -462,7 +429,6 @@ func (p *Proxy) answerStale(key cache.Key, src netip.AddrPort, id uint16) bool {
 	}
 	resp.AnswerA(ent.Addr, cache.TTLSeconds(ttl))
 	p.send(src, &resp)
-	return true
 }
 
 // scheduleRevalidate arms (at most one per key) a background refresh of
@@ -581,9 +547,8 @@ func (p *Proxy) freeFlight(f *flight) {
 }
 
 // client returns the upstream session to use for the next query,
-// reproducing the DoT in-flight bug unless FixDoTReuse is set. transient
-// connections are closed after one exchange.
-func (p *Proxy) client() (c dox.Client, transient bool, err error) {
+// reproducing the DoT in-flight bug unless FixDoTReuse is set.
+func (p *Proxy) client() (c dox.Client, err error) {
 	if p.primary != nil {
 		if p.cfg.Upstream == dox.DoT && !p.cfg.FixDoTReuse && p.primary.InFlight() > 0 {
 			// Bug: open a brand new connection (full TCP+TLS handshake)
@@ -591,18 +556,18 @@ func (p *Proxy) client() (c dox.Client, transient bool, err error) {
 			p.ExtraConnections++
 			nc, err := p.connect()
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			p.ephemeral = append(p.ephemeral, nc)
-			return nc, false, nil
+			return nc, nil
 		}
-		return p.primary, false, nil
+		return p.primary, nil
 	}
 	p.primary, err = p.connect()
 	if err != nil {
 		p.primary = nil
 	}
-	return p.primary, false, err
+	return p.primary, err
 }
 
 // quicUpstream reports whether the upstream rides QUIC (and therefore
@@ -648,7 +613,7 @@ func (p *Proxy) ResetSessions() {
 // query, as a long-lived stub proxy would have from prior traffic.
 // With resumption state remembered, this is a resumed handshake.
 func (p *Proxy) Prime() error {
-	_, _, err := p.client()
+	_, err := p.client()
 	return err
 }
 
@@ -668,7 +633,6 @@ func (p *Proxy) MigrateUpstream() (migrated bool, err error) {
 			p.ResetSessions()
 			return false, err
 		}
-		p.Migrations++
 		return true, nil
 	}
 	// TCP-based sessions are bound to the dead 4-tuple. Abort them:

@@ -628,20 +628,29 @@ func TestStubHitsReturnEveryBuffer(t *testing.T) {
 // parks a reader task again shows up here as one extra handoff per
 // datagram it reads. Over DoTCP the resolver's segments are handled
 // inline too: a server connection that parked a task on its segment
-// queue would add a handoff for every segment it received.
+// queue would add a handoff for every segment it received. The
+// remaining transports pin what they cost today, so a change to their
+// server or client tasks shows up as a changed count: the resolver
+// answers each DoT query and each DoQ stream in a task of its own, and
+// each DoH and DoH3 request in an h2 or h3 response task.
 func TestSchedulerHandoffsPerQuery(t *testing.T) {
 	const queries = 20
 	for _, tc := range []struct {
 		name     string
 		upstream dox.Protocol
 		cache    bool
-		handoffs uint64 // per query, in steady state
-		spawns   uint64 // tasks started per query
-		inline   uint64 // AfterCall callbacks over all the queries
+		// Totals over the queries, in steady state.
+		handoffs uint64
+		spawns   uint64 // tasks started
+		inline   uint64 // AfterCall callbacks
 	}{
-		{"stub-hit", dox.DoUDP, true, 2, 1, 2 * queries},
-		{"upstream-exchange", dox.DoUDP, false, 5, 2, 5 * queries},
-		{"dotcp-upstream-exchange", dox.DoTCP, false, 8, 2, 361},
+		{"stub-hit", dox.DoUDP, true, 2 * queries, 1 * queries, 2 * queries},
+		{"upstream-exchange", dox.DoUDP, false, 5 * queries, 2 * queries, 5 * queries},
+		{"dotcp-upstream-exchange", dox.DoTCP, false, 8 * queries, 2 * queries, 361},
+		{"dot-upstream-exchange", dox.DoT, false, 7 * queries, 2 * queries, 160},
+		{"doh-upstream-exchange", dox.DoH, false, 8 * queries, 2 * queries, 280},
+		{"doq-upstream-exchange", dox.DoQ, false, 6 * queries, 2 * queries, 160},
+		{"doh3-upstream-exchange", dox.DoH3, false, 6 * queries, 2 * queries, 158},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			u, p := setup(t, tc.upstream, func(c *Config) { c.StubCache = tc.cache })
@@ -674,11 +683,11 @@ func TestSchedulerHandoffsPerQuery(t *testing.T) {
 			})
 			u.W.Run()
 			t.Logf("%d queries: %+v", queries, d)
-			if got := d.Handoffs; got != tc.handoffs*queries {
-				t.Errorf("handoffs = %.2f per query, want %d", float64(got)/queries, tc.handoffs)
+			if got := d.Handoffs; got != tc.handoffs {
+				t.Errorf("handoffs = %d over %d queries, want %d", got, queries, tc.handoffs)
 			}
-			if got := d.Spawns; got != tc.spawns*queries {
-				t.Errorf("spawns = %.2f per query, want %d", float64(got)/queries, tc.spawns)
+			if got := d.Spawns; got != tc.spawns {
+				t.Errorf("spawns = %d over %d queries, want %d", got, queries, tc.spawns)
 			}
 			if got := d.Inline; got != tc.inline {
 				t.Errorf("inline callbacks = %d over %d queries, want %d", got, queries, tc.inline)

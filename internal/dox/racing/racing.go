@@ -90,9 +90,8 @@ func (c *Config) withDefaults() Config {
 
 // Metrics counts what the stub did.
 type Metrics struct {
-	Races    int // full races run
-	Attempts int // transport attempts started (across races)
-	Sticky   int // Resolve calls served by the sticky session
+	Races  int // full races run
+	Sticky int // Resolve calls served by the sticky session
 	// LastRaceTime is how long the most recent race took from first
 	// attempt to winning answer — the fallback penalty E25 measures.
 	LastRaceTime time.Duration
@@ -262,9 +261,6 @@ func (s *Stub) attempt(proto dox.Protocol, client dox.Client, q *dnsmsg.Message,
 		proto:  proto,
 		q:      q,
 	}
-	s.lock.Lock()
-	s.metrics.Attempts++
-	s.lock.Unlock()
 	s.rt.GoCall(runAttempt, a)
 	out, ok := a.done.WaitTimeout(budget)
 	if !ok {

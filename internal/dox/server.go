@@ -55,46 +55,27 @@ type Server struct {
 	endpoints   []interface{ Close() }
 	endpointArr [6]interface{ Close() }
 
-	udpFree freeList[udpJob]
-	tcpFree freeList[tcpJob]
-	dotFree freeList[dotJob]
-	doqFree freeList[doqJob]
+	// Per-query task spawners of the transports that answer each query
+	// in a task of its own, built when that transport starts serving.
+	udp *netapi.Spawner[udpQuery]
+	tcp *netapi.Spawner[netapi.StreamConn]
+	dot *netapi.Spawner[dotQuery]
+	doq *netapi.Spawner[doqStream]
 }
 
-// freeList recycles per-query task argument boxes, so steady-state
-// request dispatch spawns through pre-bound adapters (GoCall) with
-// neither a closure nor a fresh carrier allocation. The sim world runs
-// one task at a time, so no locking is needed.
-type freeList[T any] []*T
-
-func (l *freeList[T]) get() *T {
-	if n := len(*l); n > 0 {
-		j := (*l)[n-1]
-		*l = (*l)[:n-1]
-		return j
-	}
-	return new(T)
-}
-
-func (l *freeList[T]) put(j *T) { *l = append(*l, j) }
-
-// udpJob carries one DoUDP query from the receive handler to its task.
-type udpJob struct {
-	s    *Server
+// udpQuery is one DoUDP query handed from the receive handler to its
+// task.
+type udpQuery struct {
 	sock netapi.PacketConn
 	p    netapi.Packet
 }
 
-// serveUDPJob is the pre-bound adapter for DoUDP queries. The box is
-// freed as soon as its fields are read; the datagram buffer returns to
-// the pool right after decoding (Decode copies everything it keeps).
+// serveUDP answers one DoUDP query. The datagram buffer returns to the
+// pool right after decoding (Decode copies everything it keeps).
 //
 //simlint:hotpath
-func serveUDPJob(v any) {
-	j := v.(*udpJob)
-	s, sock, p := j.s, j.sock, j.p
-	j.s, j.sock, j.p = nil, nil, netapi.Packet{}
-	s.udpFree.put(j)
+func (s *Server) serveUDP(u udpQuery) {
+	sock, p := u.sock, u.p
 	q, err := dnsmsg.Decode(p.Payload)
 	sock.Pool().Put(p.Payload)
 	if err != nil {
@@ -107,18 +88,9 @@ func serveUDPJob(v any) {
 	}
 }
 
-// tcpJob carries one accepted DoTCP connection (one query each: no
+// serveTCP answers one accepted DoTCP connection (one query each: no
 // public resolver supports edns-tcp-keepalive, paper §3).
-type tcpJob struct {
-	s    *Server
-	conn netapi.StreamConn
-}
-
-func serveTCPJob(v any) {
-	j := v.(*tcpJob)
-	s, conn := j.s, j.conn
-	j.s, j.conn = nil, nil
-	s.tcpFree.put(j)
+func (s *Server) serveTCP(conn netapi.StreamConn) {
 	r := prefixReader{s: conn}
 	if q, err := r.message(); err == nil {
 		if resp := s.cfg.Handler(q, DoTCP, conn.RemoteAddr()); resp != nil {
@@ -128,52 +100,42 @@ func serveTCPJob(v any) {
 	conn.Close()
 }
 
-// dotJob carries one length-delimited DoT query off a persistent
+// dotQuery is one length-delimited DoT query off a persistent
 // connection's TLS stream.
-type dotJob struct {
-	s    *Server
+type dotQuery struct {
 	tls  *tlsmini.Conn
 	from netip.AddrPort
 	wire []byte
 }
 
-func serveDoTJob(v any) {
-	j := v.(*dotJob)
-	s, tls, from, wire := j.s, j.tls, j.from, j.wire
-	j.s, j.tls, j.wire = nil, nil, nil
-	s.dotFree.put(j)
-	q, err := dnsmsg.Decode(wire)
+func (s *Server) serveDoT(d dotQuery) {
+	q, err := dnsmsg.Decode(d.wire)
 	if err != nil {
 		return
 	}
-	if resp := s.cfg.Handler(q, DoT, from); resp != nil {
-		tls.Write(appendPrefixed(resp))
+	if resp := s.cfg.Handler(q, DoT, d.from); resp != nil {
+		d.tls.Write(appendPrefixed(resp))
 	}
 }
 
-// doqJob carries one accepted DoQ stream (= one query, RFC 9250).
-type doqJob struct {
-	s        *Server
+// doqStream is one accepted DoQ stream (= one query, RFC 9250).
+type doqStream struct {
 	conn     *quic.Conn
 	st       *quic.Stream
 	prefixed bool
 }
 
-func serveDoQJob(v any) {
-	j := v.(*doqJob)
-	s, conn, st, prefixed := j.s, j.conn, j.st, j.prefixed
-	j.s, j.conn, j.st = nil, nil, nil
-	s.doqFree.put(j)
-	data, ok := st.ReadAll()
+func (s *Server) serveDoQ(d doqStream) {
+	data, ok := d.st.ReadAll()
 	if !ok {
 		return
 	}
-	q, err := doqDecode(data, prefixed)
+	q, err := doqDecode(data, d.prefixed)
 	if err != nil {
 		return
 	}
-	if resp := s.cfg.Handler(q, DoQ, conn.RemoteAddr()); resp != nil {
-		st.Write(doqEncode(resp, prefixed), true)
+	if resp := s.cfg.Handler(q, DoQ, d.conn.RemoteAddr()); resp != nil {
+		d.st.Write(doqEncode(resp, d.prefixed), true)
 	}
 }
 
@@ -194,11 +156,8 @@ func (s *Server) ServeUDP() error {
 		return err
 	}
 	s.endpoints = append(s.endpoints, sock)
-	sock.Handle(func(p netapi.Packet) {
-		j := s.udpFree.get()
-		j.s, j.sock, j.p = s, sock, p
-		s.be.GoCall(serveUDPJob, j)
-	}, nil)
+	s.udp = netapi.NewSpawner(s.be, s.serveUDP)
+	sock.Handle(func(p netapi.Packet) { s.udp.Go(udpQuery{sock, p}) }, nil)
 	return nil
 }
 
@@ -219,6 +178,12 @@ func (s *Server) listenStream(proto Protocol, port uint16) error {
 		return err
 	}
 	s.endpoints = append(s.endpoints, l)
+	switch proto {
+	case DoTCP:
+		s.tcp = netapi.NewSpawner(s.be, s.serveTCP)
+	case DoT:
+		s.dot = netapi.NewSpawner(s.be, s.serveDoT)
+	}
 	s.be.Go(func() {
 		for {
 			conn, ok := l.Accept()
@@ -226,9 +191,7 @@ func (s *Server) listenStream(proto Protocol, port uint16) error {
 				return
 			}
 			if proto == DoTCP {
-				j := s.tcpFree.get()
-				j.s, j.conn = s, conn
-				s.be.GoCall(serveTCPJob, j)
+				s.tcp.Go(conn)
 			} else {
 				s.be.Go(func() { s.serveTLS(proto, conn) })
 			}
@@ -272,9 +235,7 @@ func (s *Server) serveTLS(proto Protocol, conn netapi.StreamConn) {
 			conn.Close()
 			return
 		}
-		j := s.dotFree.get()
-		j.s, j.tls, j.from, j.wire = s, tls, remote, append([]byte(nil), msg...)
-		s.be.GoCall(serveDoTJob, j)
+		s.dot.Go(dotQuery{tls, remote, append([]byte(nil), msg...)})
 	}
 }
 
@@ -335,6 +296,9 @@ func (s *Server) listenQUIC(proto Protocol, port uint16, alpn string) error {
 		return err
 	}
 	s.endpoints = append(s.endpoints, l)
+	if proto == DoQ {
+		s.doq = netapi.NewSpawner(s.be, s.serveDoQ)
+	}
 	s.be.Go(func() {
 		for {
 			conn, ok := l.Accept()
@@ -364,9 +328,7 @@ func (s *Server) serveQUIC(proto Protocol, conn *quic.Conn) {
 		if !ok {
 			return
 		}
-		j := s.doqFree.get()
-		j.s, j.conn, j.st, j.prefixed = s, conn, st, prefixed
-		s.be.GoCall(serveDoQJob, j)
+		s.doq.Go(doqStream{conn, st, prefixed})
 	}
 }
 

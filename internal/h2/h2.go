@@ -368,8 +368,10 @@ func ServeConn(rt netapi.Runtime, s tlsmini.Stream, handler Handler) {
 	if err := writeFrame(s, frameSettings, 0, 0, settingsPayload); err != nil {
 		return
 	}
-	decTab := newHpackTable()
-	srv := &serverConn{rt: rt, s: s, encTab: newHpackTable(), handler: handler}
+	decTab, encTab := newHpackTable(), newHpackTable()
+	// Streams are served concurrently, as real servers do; response
+	// frames interleave but are written atomically.
+	spawn := netapi.NewSpawner(rt, serveRequest)
 	reqs := make(map[uint32]*reqState)
 	for {
 		f, ok := reader.next()
@@ -390,9 +392,7 @@ func ServeConn(rt netapi.Runtime, s tlsmini.Stream, handler Handler) {
 			if f.flags&flagEndStream != 0 {
 				st, id := reqs[f.streamID], f.streamID
 				delete(reqs, f.streamID)
-				// Streams are served concurrently, as real servers do;
-				// response frames interleave but are written atomically.
-				srv.spawn(id, st)
+				spawn.Go(request{s, encTab, handler, id, st})
 			}
 		case frameData:
 			st := reqs[f.streamID]
@@ -401,9 +401,8 @@ func ServeConn(rt netapi.Runtime, s tlsmini.Stream, handler Handler) {
 			}
 			st.body = append(st.body, f.payload...)
 			if f.flags&flagEndStream != 0 {
-				id := f.streamID
 				delete(reqs, f.streamID)
-				srv.spawn(id, st)
+				spawn.Go(request{s, encTab, handler, f.streamID, st})
 			}
 		case frameGoAway:
 			return
@@ -416,45 +415,19 @@ type reqState struct {
 	body    []byte
 }
 
-// serverConn carries the per-connection server state shared by all of
-// its response tasks, plus a free list of their argument boxes so the
-// per-request spawn is neither a closure nor a fresh carrier.
-type serverConn struct {
-	rt      netapi.Runtime
+// request is one complete request stream plus the connection state its
+// response task shares with the connection's other response tasks.
+type request struct {
 	s       tlsmini.Stream
 	encTab  *hpackTable
 	handler Handler
-	free    []*serveJob
+	id      uint32
+	req     *reqState
 }
 
-type serveJob struct {
-	srv *serverConn
-	id  uint32
-	req *reqState
-}
-
-func (srv *serverConn) spawn(id uint32, req *reqState) {
-	var j *serveJob
-	if n := len(srv.free); n > 0 {
-		j = srv.free[n-1]
-		srv.free = srv.free[:n-1]
-	} else {
-		j = &serveJob{}
-	}
-	j.srv, j.id, j.req = srv, id, req
-	srv.rt.GoCall(serveOne, j)
-}
-
-// serveOne is the pre-bound adapter every response task shares. The job
-// box returns to the free list as soon as its fields are read — safe
-// because the world runs one task at a time, so the accept loop cannot
-// reuse it before this task yields.
-func serveOne(v any) {
-	j := v.(*serveJob)
-	srv, id, req := j.srv, j.id, j.req
-	j.srv, j.req = nil, nil
-	srv.free = append(srv.free, j)
-	respHeaders, respBody := srv.handler(req.headers, req.body)
-	writeFrame(srv.s, frameHeaders, flagEndHeaders, id, srv.encTab.encode(respHeaders))
-	writeFrame(srv.s, frameData, flagEndStream, id, respBody)
+// serveRequest answers one request in a task of its own.
+func serveRequest(r request) {
+	respHeaders, respBody := r.handler(r.req.headers, r.req.body)
+	writeFrame(r.s, frameHeaders, flagEndHeaders, r.id, r.encTab.encode(respHeaders))
+	writeFrame(r.s, frameData, flagEndStream, r.id, respBody)
 }

@@ -372,52 +372,24 @@ type Handler func(headers []Header, body []byte) (respHeaders []Header, respBody
 // streams are served concurrently. It blocks, so call it from its own
 // sim task.
 func ServeConn(rt netapi.Runtime, conn *quic.Conn, handler Handler) {
-	srv := &serverConn{handler: handler}
+	spawn := netapi.NewSpawner(rt, serveStream)
 	for {
 		st, ok := conn.AcceptStream()
 		if !ok {
 			return
 		}
-		// Per-stream (= per-request) spawn through a pre-bound adapter
-		// and a pooled argument box instead of a fresh closure.
-		var j *streamJob
-		if n := len(srv.free); n > 0 {
-			j = srv.free[n-1]
-			srv.free = srv.free[:n-1]
-		} else {
-			j = &streamJob{}
-		}
-		j.srv, j.st = srv, st
-		rt.GoCall(serveStreamJob, j)
+		spawn.Go(stream{st, handler})
 	}
 }
 
-// serverConn holds the handler shared by a connection's request tasks
-// and the free list of their argument boxes.
-type serverConn struct {
+// stream is one accepted stream and the handler that answers it.
+type stream struct {
+	st      *quic.Stream
 	handler Handler
-	free    []*streamJob
 }
 
-type streamJob struct {
-	srv *serverConn
-	st  *quic.Stream
-}
-
-// serveStreamJob is the shared pre-bound adapter; the box is returned
-// to the free list as soon as its fields are read (the world runs one
-// task at a time, so the accept loop cannot reuse it before then).
-//
-//simlint:hotpath
-func serveStreamJob(v any) {
-	j := v.(*streamJob)
-	srv, st := j.srv, j.st
-	j.srv, j.st = nil, nil
-	srv.free = append(srv.free, j)
-	serveStream(st, srv.handler)
-}
-
-func serveStream(st *quic.Stream, handler Handler) {
+func serveStream(s stream) {
+	st, handler := s.st, s.handler
 	first, ok := st.Read()
 	if !ok || len(first) == 0 {
 		return

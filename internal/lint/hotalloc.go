@@ -18,13 +18,14 @@ var HotAlloc = &analysis.Analyzer{
 
 Functions marked //simlint:hotpath (in the doc comment) are the
 steady-state paths covered by AllocsPerRun guards: the sim kernel's
-dispatch/handoff, netem delivery, and the pre-bound GoCall/AfterCall
-protocol callbacks from PRs 5/6. Three allocation sources are flagged
-statically so the guard fails at lint time, not test time:
+dispatch/handoff, netem delivery, netapi.Spawner's task start and the
+pre-bound AfterCall protocol callbacks. Three allocation sources are
+flagged statically so the guard fails at lint time, not test time:
 
   - fmt calls (every fmt API allocates)
   - capturing closures (a func literal that captures variables
-    allocates unless inlined; hot paths use pre-bound callbacks)
+    allocates unless inlined; hot paths spawn tasks through
+    netapi.Spawner and arm timers with pre-bound callbacks)
   - interface boxing (converting a concrete non-pointer value to an
     interface type heap-allocates the value)
 
@@ -73,7 +74,7 @@ func checkHotBody(pass *analysis.Pass, fn *ast.FuncDecl) {
 				return true
 			}
 			if capt := capturedVars(pass, fn, n); len(capt) > 0 {
-				pass.Reportf(n.Pos(), "closure capturing %s allocates on a hot path; use a pre-bound callback (GoCall/AfterCall with a pooled arg)", strings.Join(capt, ", "))
+				pass.Reportf(n.Pos(), "closure capturing %s allocates on a hot path; spawn the task through netapi.Spawner, or arm a pre-bound AfterCall callback", strings.Join(capt, ", "))
 			}
 		case *ast.AssignStmt:
 			for i, lhs := range n.Lhs {

@@ -22,7 +22,7 @@ func BadFmt(c *conn) string {
 
 //simlint:hotpath
 func BadClosure(w *sim.World, c *conn) {
-	w.Go(func() { // want `closure capturing c allocates on a hot path`
+	w.Go(func() { // want `closure capturing c allocates on a hot path; spawn the task through netapi\.Spawner`
 		c.id++
 	})
 }

@@ -250,3 +250,100 @@ func TestPacketConnHandle(t *testing.T) {
 		}
 	})
 }
+
+// TestSpawner: every Go runs fn exactly once with its own value, also
+// when two tasks call Go at once (the livenet case runs under -race).
+// On simnet, tasks also start in Go order.
+func TestSpawner(t *testing.T) {
+	onBackends(t, func(t *testing.T, be netapi.Backend) {
+		const per = 100
+		mu := be.NewLock()
+		var order []int
+		seen := map[int]int{}
+		wg := be.NewGroup()
+		sp := netapi.NewSpawner(be, func(v int) {
+			mu.Lock()
+			order = append(order, v)
+			seen[v]++
+			mu.Unlock()
+			wg.Done()
+		})
+		wg.Add(2 * per)
+		callers := be.NewGroup()
+		callers.Add(2)
+		for c := 0; c < 2; c++ {
+			base := c * per
+			be.Go(func() {
+				for i := 0; i < per; i++ {
+					sp.Go(base + i)
+				}
+				callers.Done()
+			})
+		}
+		callers.Wait()
+		wg.Wait()
+		mu.Lock()
+		defer mu.Unlock()
+		for v := 0; v < 2*per; v++ {
+			if seen[v] != 1 {
+				t.Errorf("value %d ran %d times, want 1", v, seen[v])
+			}
+		}
+		if _, sim := be.(*simnet.Backend); !sim {
+			return
+		}
+		for i, v := range order {
+			if v != i {
+				t.Errorf("start order = %v, want Go order", order)
+				break
+			}
+		}
+	})
+}
+
+// TestSpawnerSimReuseAndZeroAlloc: a Go from inside fn reuses the box
+// its own task just freed, and steady-state spawns allocate nothing.
+func TestSpawnerSimReuseAndZeroAlloc(t *testing.T) {
+	w := sim.NewWorld(1)
+	be := simnet.New(netem.NewNetwork(w).Host(netip.MustParseAddr("10.9.0.1")), rand.New(rand.NewSource(1)))
+	wg := be.NewGroup()
+	var sp *netapi.Spawner[int]
+	var freeInChain []int
+	sp = netapi.NewSpawner(be, func(v int) {
+		if v > 0 {
+			// The box this task came in is already back on the list,
+			// so the nested Go takes it instead of allocating one.
+			freeInChain = append(freeInChain, netapi.FreeBoxes(sp))
+			sp.Go(v - 1)
+			return
+		}
+		wg.Done()
+	})
+	var allocs float64
+	w.Go(func() {
+		wg.Add(1)
+		sp.Go(3)
+		wg.Wait()
+		if got := netapi.FreeBoxes(sp); got != 1 {
+			t.Errorf("after a chain of nested Go calls, %d free boxes, want 1", got)
+		}
+		for i, n := range freeInChain {
+			if n != 1 {
+				t.Errorf("nested Go %d: %d free boxes, want 1 (the box just freed)", i, n)
+			}
+		}
+		burst := func() {
+			wg.Add(50)
+			for i := 0; i < 50; i++ {
+				sp.Go(0)
+			}
+			wg.Wait()
+		}
+		burst()
+		allocs = testing.AllocsPerRun(10, burst)
+	})
+	w.Run()
+	if allocs != 0 {
+		t.Errorf("steady-state spawns allocated %v objects per 50, want 0", allocs)
+	}
+}

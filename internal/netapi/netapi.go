@@ -47,8 +47,9 @@ type Runtime interface {
 	// Go spawns fn as a concurrent task.
 	Go(fn func())
 	// GoCall spawns fn(arg) as a concurrent task without allocating a
-	// closure; hot spawn paths pair it with a free list of argument
-	// boxes.
+	// closure when fn is a top-level func and arg is pointer-shaped.
+	// Per-request spawns go through Spawner, which pairs it with a
+	// free list of argument boxes.
 	GoCall(fn func(any), arg any)
 	// AfterFunc runs fn as a new task after d.
 	AfterFunc(d time.Duration, fn func()) Timer

@@ -205,9 +205,8 @@ type Conn struct {
 	// key schedule advances.
 	undecryptable []storedPacket
 
-	onClose  func()
-	closed   bool
-	closeErr error
+	onClose func()
+	closed  bool
 }
 
 type storedPacket struct {
@@ -334,7 +333,6 @@ func (c *Conn) teardown(err error) {
 		return
 	}
 	c.closed = true
-	c.closeErr = err
 	c.ptoTimer.Stop()
 	c.ptoTimer = sim.Timer{}
 	if c.pathValidated != nil {

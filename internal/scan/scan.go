@@ -191,7 +191,6 @@ func AssignSupport(rng *rand.Rand, spec PopulationSpec) ([]map[dox.Protocol]bool
 type Target struct {
 	Addr     netip.Addr
 	DoQPort  uint16
-	IsDoQ    bool
 	Supports map[dox.Protocol]bool
 	Place    geo.Place
 }
@@ -289,7 +288,6 @@ func BuildTargets(net *netem.Network, seed int64, plans []TargetPlan, lo, hi int
 			tgt := &Target{
 				Addr:     p.Addr,
 				DoQPort:  p.DoQPort,
-				IsDoQ:    true,
 				Supports: p.Supports,
 				Place:    p.Place,
 			}

@@ -125,7 +125,6 @@ type Conn struct {
 	onClose func()             // listener's demux-map removal hook
 	dead    bool
 	sentFIN bool
-	gotFIN  bool
 }
 
 // Stats returns the client-side byte counters of the underlying socket
@@ -298,7 +297,6 @@ func (c *Conn) deliver(seg segment) {
 	}
 	if seg.flags&flagFIN != 0 {
 		c.rcvNxt++
-		c.gotFIN = true
 		c.readQ.Close()
 	}
 }

@@ -66,7 +66,6 @@ type Engine struct {
 
 	version      Version
 	alpn         string
-	offeredPSK   *Session
 	pskAccepted  bool
 	earlyOffered bool
 	earlyAccept  bool
@@ -219,7 +218,6 @@ func (e *Engine) Start() ([]Message, error) {
 	var psk []byte
 	if e.cfg.SessionCache != nil {
 		if s := e.cfg.SessionCache.Get(e.cfg.ServerName, e.cfg.now()); s != nil {
-			e.offeredPSK = s
 			ch.PSKTicket = s.Ticket
 			psk = s.Secret
 			es := hkdfExtractShort(nil, psk)
