@@ -1,6 +1,6 @@
 # Convenience targets; CI runs the same commands (see .github/workflows/ci.yml).
 
-.PHONY: build test race bench bench-smoke bench-check determinism cover fuzz-smoke lint live-smoke loc
+.PHONY: build test race bench bench-smoke bench-check determinism cover fuzz-smoke lint live-smoke loc traffic
 
 # staticcheck is pinned so local runs and CI agree on findings; when the
 # binary is absent (offline sandboxes), lint still runs simlint + go vet
@@ -47,6 +47,22 @@ bench:
 cover:
 	go test -coverprofile=/tmp/cover.out ./...
 	go tool cover -func=/tmp/cover.out | tail -20
+
+# traffic shows which code the default experiment suite executes: it
+# builds cmd/experiments with coverage of every repro package (main
+# included: with -coverpkg=repro/internal/... alone the binary writes no
+# counters), runs the suite, and prints each package's statement
+# coverage. Code no experiment reaches is code only tests keep alive.
+# The textfmt profile opens with go tool cover -html. Not a gate.
+TRAFFIC := /tmp/repro-traffic
+
+traffic:
+	rm -rf $(TRAFFIC) && mkdir -p $(TRAFFIC)/cov
+	go build -cover -coverpkg=repro/... -o $(TRAFFIC)/experiments ./cmd/experiments
+	GOCOVERDIR=$(TRAFFIC)/cov $(TRAFFIC)/experiments > /dev/null
+	go tool covdata percent -i=$(TRAFFIC)/cov
+	go tool covdata textfmt -i=$(TRAFFIC)/cov -o $(TRAFFIC)/traffic.out
+	@echo "traffic: go tool cover -html=$(TRAFFIC)/traffic.out"
 
 # fuzz-smoke runs each fuzz target briefly against its seed corpus plus
 # fresh mutations; crashes land in testdata/fuzz as regression inputs.

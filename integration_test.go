@@ -21,10 +21,18 @@ func TestEndToEndAllProtocolsUnderLossAndJitter(t *testing.T) {
 		Seed:           99,
 		ResolverCounts: map[geo.Continent]int{geo.EU: 2, geo.AS: 1},
 		Loss:           0.02, // heavy loss: retransmission machinery must cope
-		Jitter:         3 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Widen every vantage<->resolver path's jitter to 3ms, so reordering
+	// joins the loss.
+	for _, v := range u.Vantages {
+		for _, res := range u.Resolvers {
+			p := u.Net.Path(v.Host.Addr(), res.Addr)
+			p.Jitter = 3 * time.Millisecond
+			u.Net.SetSymmetricPath(v.Host.Addr(), res.Addr, p)
+		}
 	}
 	vp := u.Vantages[0]
 	success := map[dox.Protocol]int{}

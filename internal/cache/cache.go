@@ -223,24 +223,10 @@ func TTLSeconds(d time.Duration) uint32 {
 	return uint32((d + time.Second - 1) / time.Second)
 }
 
-// AnswerQuery builds the cached response for q (an A-record reply with
-// the entry's remaining TTL), or nil when the cache cannot answer. This
-// is the stub-cache fast path: a non-nil reply short-circuits the
-// upstream transport entirely.
-func (c *Cache) AnswerQuery(q *dnsmsg.Message) *dnsmsg.Message {
-	addr, ttl, ok := c.AnswerFor(q)
-	if !ok {
-		return nil
-	}
-	resp := dnsmsg.Reply(*q)
-	resp.AnswerA(addr, ttl)
-	return &resp
-}
-
-// AnswerFor looks up what AnswerQuery would answer for q: the cached
-// address for its first question and the TTL to advertise. Only A
-// questions can hit. Callers that encode the reply themselves
-// (dnsmsg.Message.AppendReplyA) use it to answer without building one.
+// AnswerFor looks up the cached answer for q: the address for its first
+// question and the TTL to advertise. Only A questions can hit. Callers
+// encode the reply themselves (dnsmsg.Message.AppendReplyA), so a hit
+// builds no reply message.
 func (c *Cache) AnswerFor(q *dnsmsg.Message) (addr netip.Addr, ttl uint32, ok bool) {
 	if len(q.Questions) == 0 {
 		return netip.Addr{}, 0, false

@@ -104,7 +104,7 @@ func TestAnswerQueryAndStoreResponse(t *testing.T) {
 	cl := &clock{}
 	c := New(cl.now, 0)
 	q := dnsmsg.NewQuery(7, "web.example", dnsmsg.TypeA)
-	if r := c.AnswerQuery(&q); r != nil {
+	if _, _, ok := c.AnswerFor(&q); ok {
 		t.Fatal("cold cache answered")
 	}
 	resp := dnsmsg.Reply(q)
@@ -112,14 +112,14 @@ func TestAnswerQueryAndStoreResponse(t *testing.T) {
 	c.StoreResponse(&resp)
 	cl.t = 100 * time.Second
 	q2 := dnsmsg.NewQuery(8, "web.example", dnsmsg.TypeA)
-	r := c.AnswerQuery(&q2)
-	if r == nil {
+	got, ttl, ok := c.AnswerFor(&q2)
+	if !ok {
 		t.Fatal("warm cache did not answer")
 	}
-	if r.ID != 8 || len(r.Answers) != 1 || r.Answers[0].Addr != addr {
-		t.Fatalf("bad cached reply: %+v", r)
+	if got != addr {
+		t.Fatalf("cached address = %v, want %v", got, addr)
 	}
-	if ttl := r.Answers[0].TTL; ttl != 200 {
+	if ttl != 200 {
 		t.Errorf("remaining TTL = %d, want 200", ttl)
 	}
 	// Failed responses must not be cached.

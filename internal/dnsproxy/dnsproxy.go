@@ -31,7 +31,6 @@
 //   - TTL-expiry prefetch: names a deterministic fixed-memory hotness
 //     tracker marks as hot are refreshed shortly before their TTL
 //     lapses, so the Zipf head never goes cold.
-//   - Per-client token-bucket rate limiting with REFUSED responses.
 package dnsproxy
 
 import (
@@ -104,13 +103,6 @@ type Config struct {
 	// the Zipf head stays warm (E24). Requires StubCache.
 	Prefetch bool
 
-	// RateLimitQPS enables per-client token-bucket rate limiting:
-	// clients exceeding this sustained rate get REFUSED responses.
-	// 0 disables limiting.
-	RateLimitQPS float64
-	// RateLimitBurst is the bucket depth (default 4).
-	RateLimitBurst int
-
 	// RetryUpstream retries a failed upstream exchange once over a
 	// fresh session, as production forwarders do when a reused
 	// connection dies under a query (an access-network flip being the
@@ -131,12 +123,6 @@ type waiter struct {
 // capacity across reuse, so steady-state coalescing does not allocate.
 type flight struct {
 	waiters []waiter
-}
-
-// tokenBucket is one client's rate-limit state on virtual time.
-type tokenBucket struct {
-	tokens float64
-	last   time.Duration
 }
 
 // Proxy is a running DNS forwarder.
@@ -161,8 +147,7 @@ type Proxy struct {
 	prefetchOn   map[cache.Key]bool          // armed prefetch timers
 	lastSeen     map[cache.Key]time.Duration // last client demand per armed chain
 	revalidating map[cache.Key]bool          // armed revalidation retries
-	buckets      map[netip.AddrPort]*tokenBucket
-	qid          uint16 // internal IDs for prefetch/revalidation queries
+	qid          uint16                      // internal IDs for prefetch/revalidation queries
 
 	// Counters for the evaluation.
 	Queries          int
@@ -174,7 +159,6 @@ type Proxy struct {
 	StaleServed      int // answers served past expiry (RFC 8767)
 	Revalidations    int // stale entries refreshed after upstream recovery
 	Prefetches       int // hot-name refreshes issued before expiry
-	Refused          int // queries rejected by the rate limiter
 
 	// StaleAge sketches the staleness (age past expiry) of every
 	// stale-served answer, for the E23 staleness CDF. Nil unless
@@ -189,9 +173,6 @@ type Proxy struct {
 func New(be netapi.Backend, cfg Config) (*Proxy, error) {
 	if cfg.ListenPort == 0 {
 		cfg.ListenPort = 5353
-	}
-	if cfg.RateLimitBurst == 0 {
-		cfg.RateLimitBurst = 4
 	}
 	if cfg.ServeStale || cfg.Prefetch {
 		// Both features live on the stub cache; enabling them implies it.
@@ -223,9 +204,6 @@ func New(be netapi.Backend, cfg Config) (*Proxy, error) {
 		p.hot = cache.NewHotness(cache.DefaultHotnessCapacity)
 		p.prefetchOn = make(map[cache.Key]bool)
 		p.lastSeen = make(map[cache.Key]time.Duration)
-	}
-	if cfg.RateLimitQPS > 0 {
-		p.buckets = make(map[netip.AddrPort]*tokenBucket)
 	}
 	// Forwarding blocks on the upstream exchange, so each stub query
 	// runs in a task of its own.
@@ -259,13 +237,6 @@ func (p *Proxy) forward(d netapi.Packet) {
 		return
 	}
 	p.Queries++
-	if !p.allow(d.Src) {
-		p.Refused++
-		resp := dnsmsg.Reply(*q)
-		resp.RCode = dnsmsg.RCodeRefused
-		p.send(d.Src, &resp)
-		return
-	}
 	key, hasKey := queryKey(q)
 	if hasKey && p.hot != nil {
 		// Popularity reflects demand, so every query counts — including
@@ -372,31 +343,6 @@ func (p *Proxy) exchange(q *dnsmsg.Message, internal bool) *dnsmsg.Message {
 		p.armPrefetch(resp, internal)
 	}
 	return resp
-}
-
-// allow charges src's token bucket for one query. Buckets refill at
-// RateLimitQPS on virtual time up to RateLimitBurst; the map is only
-// indexed by source, never iterated, so limiting stays deterministic.
-func (p *Proxy) allow(src netip.AddrPort) bool {
-	if p.buckets == nil {
-		return true
-	}
-	now := p.be.Now()
-	b, ok := p.buckets[src]
-	if !ok {
-		b = &tokenBucket{tokens: float64(p.cfg.RateLimitBurst), last: now}
-		p.buckets[src] = b
-	}
-	b.tokens += p.cfg.RateLimitQPS * (now - b.last).Seconds()
-	if max := float64(p.cfg.RateLimitBurst); b.tokens > max {
-		b.tokens = max
-	}
-	b.last = now
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
 }
 
 // answerStale serves src from a fresh-or-stale stub entry after a failed

@@ -7,38 +7,17 @@ import (
 	"repro/internal/netapi"
 )
 
-// Defaults for the zero FailoverConfig fields, and the ejection
-// cooldown: DefaultCooldownBase for the first ejection, doubling per
-// consecutive ejection up to DefaultCooldownMax.
+// Failover's thresholds: DefaultEjectAfter consecutive failures eject
+// an upstream for DefaultCooldownBase, doubling per consecutive
+// ejection up to DefaultCooldownMax. Each cooldown is spread by
+// ±jitterFrac, one draw from the runtime's seeded random stream per
+// ejection — deterministic on the sim backend.
 const (
 	DefaultEjectAfter   = 3
 	DefaultCooldownBase = 2 * time.Second
 	DefaultCooldownMax  = 60 * time.Second
-	DefaultJitterFrac   = 0.1
+	jitterFrac          = 0.1
 )
-
-// FailoverConfig parameterizes upstream health tracking.
-type FailoverConfig struct {
-	// EjectAfter is how many consecutive failures eject an upstream
-	// (default DefaultEjectAfter).
-	EjectAfter int
-	// JitterFrac spreads each cooldown by ±JitterFrac (default
-	// DefaultJitterFrac), drawn from the runtime's seeded random
-	// stream — deterministic on the sim backend. Negative disables
-	// jitter.
-	JitterFrac float64
-}
-
-func (c *FailoverConfig) withDefaults() FailoverConfig {
-	v := *c
-	if v.EjectAfter == 0 {
-		v.EjectAfter = DefaultEjectAfter
-	}
-	if v.JitterFrac == 0 {
-		v.JitterFrac = DefaultJitterFrac
-	}
-	return v
-}
 
 // upstreamState is one upstream's health record.
 type upstreamState struct {
@@ -49,7 +28,7 @@ type upstreamState struct {
 
 // Failover tracks the health of an ordered list of upstream resolvers
 // and picks the most-preferred healthy one. An upstream that times out
-// EjectAfter times in a row is ejected for a jittered exponential
+// DefaultEjectAfter times in a row is ejected for a jittered exponential
 // cooldown, after which the next Pick may try it again; a success
 // clears its record. A readmitted upstream is on probation until that
 // success: one more failure re-ejects it immediately with a doubled
@@ -63,16 +42,14 @@ type upstreamState struct {
 // backend.
 type Failover struct {
 	rt   netapi.Runtime
-	cfg  FailoverConfig
 	lock sync.Locker
 	st   []upstreamState
 }
 
 // NewFailover tracks n upstreams, preference-ordered by index.
-func NewFailover(rt netapi.Runtime, n int, cfg FailoverConfig) *Failover {
+func NewFailover(rt netapi.Runtime, n int) *Failover {
 	return &Failover{
 		rt:   rt,
-		cfg:  cfg.withDefaults(),
 		lock: rt.NewLock(),
 		st:   make([]upstreamState, n),
 	}
@@ -100,7 +77,7 @@ func (f *Failover) Pick() int {
 }
 
 // Report records the outcome of one exchange against upstream i. A
-// failure that reaches EjectAfter consecutive failures ejects the
+// failure that reaches DefaultEjectAfter consecutive failures ejects the
 // upstream; an upstream on probation (readmitted from a cooldown with
 // no success since) re-ejects on a single failure.
 func (f *Failover) Report(i int, ok bool) {
@@ -114,7 +91,7 @@ func (f *Failover) Report(i int, ok bool) {
 		return
 	}
 	u.consecutive++
-	if u.ejections == 0 && u.consecutive < f.cfg.EjectAfter {
+	if u.ejections == 0 && u.consecutive < DefaultEjectAfter {
 		return
 	}
 	u.consecutive = 0
@@ -125,10 +102,7 @@ func (f *Failover) Report(i int, ok bool) {
 	if u.ejections < 62 { // keep the shift defined
 		u.ejections++
 	}
-	if j := f.cfg.JitterFrac; j > 0 {
-		// ±JitterFrac, one deterministic draw per ejection.
-		spread := 1 + j*(2*f.rt.Rand().Float64()-1)
-		cooldown = time.Duration(float64(cooldown) * spread)
-	}
+	spread := 1 + jitterFrac*(2*f.rt.Rand().Float64()-1)
+	cooldown = time.Duration(float64(cooldown) * spread)
 	u.ejectedUntil = f.rt.Now() + cooldown
 }

@@ -225,11 +225,38 @@ func ejected(rt netapi.Runtime, f *Failover, i int) bool {
 	return rt.Now() < f.st[i].ejectedUntil
 }
 
+// ejectAt fails upstream i until it is ejected (giving up after ten
+// failures) and returns the number of failures that took and the
+// cooldown it drew.
+func ejectAt(rt netapi.Runtime, f *Failover, i int) (failures int, cooldown time.Duration) {
+	for failures < 10 && !ejected(rt, f, i) {
+		f.Report(i, false)
+		failures++
+	}
+	return failures, f.st[i].ejectedUntil - rt.Now()
+}
+
+// checkCooldown fails unless got lies within ±jitterFrac of the k-th
+// consecutive ejection's cooldown, DefaultCooldownBase·2^k capped at
+// DefaultCooldownMax.
+func checkCooldown(t *testing.T, k int, got time.Duration) {
+	t.Helper()
+	want := DefaultCooldownBase << k
+	if want > DefaultCooldownMax {
+		want = DefaultCooldownMax
+	}
+	lo := time.Duration(float64(want) * (1 - jitterFrac))
+	hi := time.Duration(float64(want) * (1 + jitterFrac))
+	if got < lo || got > hi {
+		t.Errorf("ejection %d: cooldown %v outside [%v, %v]", k, got, lo, hi)
+	}
+}
+
 func TestFailoverEjectsAndReadmits(t *testing.T) {
 	w := sim.NewWorld(6)
 	rt := simnet.NewRuntime(w, rand.New(rand.NewSource(6)))
 	w.Go(func() {
-		f := NewFailover(rt, 3, FailoverConfig{})
+		f := NewFailover(rt, 3)
 		if got := f.Pick(); got != 0 {
 			t.Fatalf("initial pick = %d, want 0", got)
 		}
@@ -246,6 +273,7 @@ func TestFailoverEjectsAndReadmits(t *testing.T) {
 		if !ejected(rt, f, 0) {
 			t.Fatal("upstream 0 not marked ejected")
 		}
+		checkCooldown(t, 0, f.st[0].ejectedUntil-rt.Now())
 		// After the cooldown (2s base, ±10% jitter) the preferred
 		// upstream is retried.
 		rt.Sleep(3 * time.Second)
@@ -265,10 +293,10 @@ func TestFailoverAllEjectedPicksSoonest(t *testing.T) {
 	w := sim.NewWorld(7)
 	rt := simnet.NewRuntime(w, rand.New(rand.NewSource(7)))
 	w.Go(func() {
-		f := NewFailover(rt, 2, FailoverConfig{EjectAfter: 1, JitterFrac: -1})
-		f.Report(0, false) // ejected until +2s
+		f := NewFailover(rt, 2)
+		ejectAt(rt, f, 0) // ejected until +2s±10%
 		rt.Sleep(time.Second)
-		f.Report(1, false) // ejected until +3s
+		ejectAt(rt, f, 1) // ejected until +3s±10%
 		if got := f.Pick(); got != 0 {
 			t.Fatalf("all-ejected pick = %d, want 0 (soonest cooldown)", got)
 		}
@@ -280,23 +308,22 @@ func TestFailoverProbationReejectsOnOneFailure(t *testing.T) {
 	w := sim.NewWorld(9)
 	rt := simnet.NewRuntime(w, rand.New(rand.NewSource(9)))
 	w.Go(func() {
-		f := NewFailover(rt, 2, FailoverConfig{JitterFrac: -1})
+		f := NewFailover(rt, 2)
 		// Full threshold for the first ejection.
-		f.Report(0, false)
-		f.Report(0, false)
-		f.Report(0, false)
-		if !ejected(rt, f, 0) {
-			t.Fatal("upstream 0 not ejected at threshold")
+		if n, _ := ejectAt(rt, f, 0); n != DefaultEjectAfter {
+			t.Fatalf("ejected after %d failures, want %d", n, DefaultEjectAfter)
 		}
 		rt.Sleep(3 * time.Second)
 		if got := f.Pick(); got != 0 {
 			t.Fatalf("pick after cooldown = %d, want 0 (probation probe)", got)
 		}
-		// On probation, a single failed probe re-ejects immediately.
+		// On probation, a single failed probe re-ejects immediately,
+		// with a doubled cooldown.
 		f.Report(0, false)
 		if !ejected(rt, f, 0) {
 			t.Fatal("probation failure did not re-eject")
 		}
+		checkCooldown(t, 1, f.st[0].ejectedUntil-rt.Now())
 		// And a probe that succeeds clears probation: the next failure
 		// is tolerated up to the full threshold again.
 		rt.Sleep(5 * time.Second)
@@ -313,14 +340,25 @@ func TestFailoverCooldownBacksOff(t *testing.T) {
 	w := sim.NewWorld(8)
 	rt := simnet.NewRuntime(w, rand.New(rand.NewSource(8)))
 	w.Go(func() {
-		f := NewFailover(rt, 1, FailoverConfig{EjectAfter: 1, JitterFrac: -1})
-		f.Report(0, false)
-		first := f.st[0].ejectedUntil - rt.Now()
-		rt.Sleep(first)
-		f.Report(0, false)
-		second := f.st[0].ejectedUntil - rt.Now()
-		if second != 2*first {
-			t.Errorf("cooldowns %v then %v, want doubling", first, second)
+		f := NewFailover(rt, 1)
+		// The first ejection takes the full threshold; each probation
+		// failure after a cooldown re-ejects at once, doubling the
+		// cooldown up to the cap. Jitter moves every cooldown off the
+		// unjittered base.
+		for k := 0; k < 8; k++ {
+			failures, cooldown := ejectAt(rt, f, 0)
+			if cooldown == DefaultCooldownBase<<k || cooldown == DefaultCooldownMax {
+				t.Errorf("ejection %d: cooldown %v carries no jitter", k, cooldown)
+			}
+			want := 1
+			if k == 0 {
+				want = DefaultEjectAfter
+			}
+			if failures != want {
+				t.Errorf("ejection %d took %d failures, want %d", k, failures, want)
+			}
+			checkCooldown(t, k, cooldown)
+			rt.Sleep(cooldown)
 		}
 	})
 	w.Run()

@@ -284,13 +284,10 @@ func (s *Server) listenQUIC(proto Protocol, port uint16, alpn string) error {
 		Identity:        s.cfg.Identity,
 		TicketStore:     s.cfg.TicketStore,
 		AcceptEarlyData: s.cfg.AcceptEarlyData,
-		// QUIC mandates TLS 1.3 (RFC 9001); a resolver's TLS 1.2
-		// limitation only affects its TCP-based transports.
-		TLSVersion: 0,
-		Versions:   s.cfg.QUICVersions,
-		TokenKey:   s.cfg.TokenKey,
-		Rand:       s.be.Rand(),
-		Now:        s.be.Now,
+		Versions:        s.cfg.QUICVersions,
+		TokenKey:        s.cfg.TokenKey,
+		Rand:            s.be.Rand(),
+		Now:             s.be.Now,
 	})
 	if err != nil {
 		return err

@@ -319,24 +319,29 @@ func (c *ClientConn) RoundTrip(headers []Header, body []byte) (*Response, error)
 	if !ok {
 		return nil, errors.New("h3: request stream reset or connection lost")
 	}
-	return parseExchange(raw)
+	resp, err := parseExchange(raw)
+	if err != nil {
+		return nil, err
+	}
+	return &resp, nil
 }
 
-// parseExchange splits a stream's bytes into HEADERS + DATA frames.
-func parseExchange(raw []byte) (*Response, error) {
-	resp := &Response{}
+// parseExchange splits a stream's bytes into HEADERS + DATA frames: a
+// response on the client, a request on the server.
+func parseExchange(raw []byte) (Response, error) {
+	var resp Response
 	sawHeaders := false
 	for len(raw) > 0 {
 		ftype, payload, rest, err := readFrame(raw)
 		if err != nil {
-			return nil, err
+			return Response{}, err
 		}
 		raw = rest
 		switch ftype {
 		case frameHeaders:
 			hs, err := DecodeFieldSection(payload)
 			if err != nil {
-				return nil, err
+				return Response{}, err
 			}
 			resp.Headers = append(resp.Headers, hs...)
 			sawHeaders = true
@@ -347,7 +352,7 @@ func parseExchange(raw []byte) (*Response, error) {
 		}
 	}
 	if !sawHeaders {
-		return nil, errors.New("h3: stream ended without HEADERS")
+		return Response{}, errors.New("h3: stream ended without HEADERS")
 	}
 	return resp, nil
 }
@@ -408,35 +413,15 @@ func serveStream(s stream) {
 		}
 	}
 	// Request stream: gather until FIN, then serve.
-	buf := first
 	rest, ok := st.ReadAll()
 	if !ok {
 		return
 	}
-	buf = append(buf, rest...)
-	var reqHeaders []Header
-	var reqBody []byte
-	for len(buf) > 0 {
-		ftype, payload, r, err := readFrame(buf)
-		if err != nil {
-			return
-		}
-		buf = r
-		switch ftype {
-		case frameHeaders:
-			hs, err := DecodeFieldSection(payload)
-			if err != nil {
-				return
-			}
-			reqHeaders = append(reqHeaders, hs...)
-		case frameData:
-			reqBody = append(reqBody, payload...)
-		}
-	}
-	if reqHeaders == nil {
+	req, err := parseExchange(append(first, rest...))
+	if err != nil {
 		return
 	}
-	respHeaders, respBody := handler(reqHeaders, reqBody)
+	respHeaders, respBody := handler(req.Headers, req.Body)
 	var out []byte
 	out = appendFrame(out, frameHeaders, EncodeFieldSection(respHeaders))
 	out = appendFrame(out, frameData, respBody)

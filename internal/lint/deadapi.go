@@ -27,11 +27,11 @@ Whole-program: standalone simlint on ./... only, with bench/ loaded.
 Reports a package-level func, type, const or var, or a method, that
 no non-test code references and no other package's test references
 (interface-satisfying methods and String/Error/Format are live), and
-an exported *Config/*Options field that nothing writes, where a write
-inside the field's own zero check is a default, not a write, and a
-write that copies another field (x.F = y.G, F: y.G) counts only if
-that field is written in turn. Test files are matched by syntax, and
-their writes count directly.`,
+an exported *Config/*Options field that no non-test code writes, where
+a write inside the field's own zero check is a default, not a write,
+and a write that copies another field (x.F = y.G, F: y.G) counts only
+if that field is written in turn. A knob only tests set is a knob no
+caller uses. Test files are matched by syntax, for references only.`,
 	Run: func(*analysis.Pass) error {
 		return errors.New("deadapi is whole-program: run it with RunDeadAPI")
 	},
@@ -44,7 +44,7 @@ their writes count directly.`,
 type deadAPI struct {
 	pkgNames map[string]string   // import path -> package name
 	used     map[string]bool     // keys referenced from non-test code
-	written  map[string]bool     // field keys written; bare names from tests
+	written  map[string]bool     // field keys written by non-test code
 	forward  map[string][]string // field key -> the field keys copied into it
 	iface    map[string]bool     // "Name(sig)" of every interface method
 
@@ -213,13 +213,6 @@ func (d *deadAPI) scanCode(pkg *loader.Package) {
 			return true
 		})
 	}
-	fieldOf := func(sel *ast.SelectorExpr) string {
-		s := info.Selections[sel]
-		if s == nil || s.Kind() != types.FieldVal {
-			return ""
-		}
-		return selectedFieldKey(s)
-	}
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			switch decl := decl.(type) {
@@ -239,17 +232,9 @@ func (d *deadAPI) scanCode(pkg *loader.Package) {
 				}
 			}
 		}
-		scanWrites(f, fieldNamer{
-			sel: fieldOf,
-			lit: func(lit *ast.CompositeLit, key *ast.Ident) string {
-				if named := namedOf(info.TypeOf(lit)); named != nil {
-					return memberKey(named, key.Name)
-				}
-				return ""
-			},
-		}, func(k string, value ast.Expr) {
+		scanWrites(f, info, func(k string, value ast.Expr) {
 			if sel, ok := ast.Unparen(value).(*ast.SelectorExpr); ok {
-				if src := fieldOf(sel); src != "" {
+				if src := fieldKey(info, sel); src != "" {
 					d.forward[k] = append(d.forward[k], src)
 					return
 				}
@@ -259,11 +244,11 @@ func (d *deadAPI) scanCode(pkg *loader.Package) {
 	}
 }
 
-// isWritten reports whether field key k is written: directly, by a
-// test (bare field name), or by a copy from a field that is itself
-// written. seen guards against forwarding cycles.
+// isWritten reports whether field key k is written: directly, or by a
+// copy from a field that is itself written. seen guards against
+// forwarding cycles.
 func (d *deadAPI) isWritten(k string, seen map[string]bool) bool {
-	if d.written[k] || d.written[k[strings.LastIndex(k, ".")+1:]] {
+	if d.written[k] {
 		return true
 	}
 	if seen[k] {
@@ -278,9 +263,13 @@ func (d *deadAPI) isWritten(k string, seen map[string]bool) bool {
 	return false
 }
 
-// selectedFieldKey follows a field selection's embedding path to the
-// named struct that declares the field.
-func selectedFieldKey(s *types.Selection) string {
+// fieldKey names the field sel selects, following its embedding path
+// to the named struct that declares it; "" means sel is not a field.
+func fieldKey(info *types.Info, sel *ast.SelectorExpr) string {
+	s := info.Selections[sel]
+	if s == nil || s.Kind() != types.FieldVal {
+		return ""
+	}
 	t := s.Recv()
 	idx := s.Index()
 	for i, x := range idx {
@@ -301,27 +290,19 @@ func selectedFieldKey(s *types.Selection) string {
 	return ""
 }
 
-// fieldNamer names the field a selector or composite-literal key
-// writes: a program-wide key for type-checked code, the bare field name
-// for test files matched by syntax. "" means not a field.
-type fieldNamer struct {
-	sel func(*ast.SelectorExpr) string
-	lit func(*ast.CompositeLit, *ast.Ident) string
-}
-
 // scanWrites calls mark for every field write in f: a composite-literal
 // key, an assignment or ++/--, or &x.F, with the written value when it
 // is a single expression (nil otherwise). An assignment inside the body
 // of the field's own zero check is a default and is skipped.
-func scanWrites(f *ast.File, name fieldNamer, mark func(k string, value ast.Expr)) {
+func scanWrites(f *ast.File, info *types.Info, mark func(k string, value ast.Expr)) {
 	var stack []ast.Node
 	write := func(e, value ast.Expr) {
 		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 		if !ok {
 			return
 		}
-		k := name.sel(sel)
-		if k == "" || defaulted(stack, k, name) {
+		k := fieldKey(info, sel)
+		if k == "" || defaulted(stack, k, info) {
 			return
 		}
 		mark(k, value)
@@ -336,10 +317,9 @@ func scanWrites(f *ast.File, name fieldNamer, mark func(k string, value ast.Expr
 		case *ast.CompositeLit:
 			for _, e := range n.Elts {
 				if kv, ok := e.(*ast.KeyValueExpr); ok {
-					if id, ok := kv.Key.(*ast.Ident); ok {
-						if k := name.lit(n, id); k != "" {
-							mark(k, kv.Value)
-						}
+					id, ok := kv.Key.(*ast.Ident)
+					if named := namedOf(info.TypeOf(n)); ok && named != nil {
+						mark(memberKey(named, id.Name), kv.Value)
 					}
 				}
 			}
@@ -365,7 +345,7 @@ func scanWrites(f *ast.File, name fieldNamer, mark func(k string, value ast.Expr
 // defaulted reports whether the innermost node of stack sits in the body
 // of an if statement whose condition is a zero check of field k:
 // x.F == 0 (or "", nil, false) or len(x.F) == 0.
-func defaulted(stack []ast.Node, k string, name fieldNamer) bool {
+func defaulted(stack []ast.Node, k string, info *types.Info) bool {
 	for i := len(stack) - 2; i >= 0; i-- {
 		ifs, ok := stack[i].(*ast.IfStmt)
 		if !ok || stack[i+1] != ifs.Body {
@@ -383,7 +363,7 @@ func defaulted(stack []ast.Node, k string, name fieldNamer) bool {
 				}
 			}
 			sel, ok := x.(*ast.SelectorExpr)
-			if ok && isZero(pair[1]) && name.sel(sel) == k {
+			if ok && isZero(pair[1]) && fieldKey(info, sel) == k {
 				return true
 			}
 		}
@@ -402,7 +382,8 @@ func isZero(e ast.Expr) bool {
 }
 
 // scanTests parses the _test.go files in pkg's directory and records,
-// by syntax alone, what they reference and which fields they write.
+// by syntax alone, what they reference. Their field writes do not
+// count: a knob only tests set has no caller.
 func (d *deadAPI) scanTests(pkg *loader.Package) error {
 	names, err := filepath.Glob(filepath.Join(pkg.Dir, "*_test.go"))
 	if err != nil {
@@ -448,22 +429,6 @@ func (d *deadAPI) scanTests(pkg *loader.Package) error {
 			}
 			return true
 		})
-		// A keyed literal of a named type writes that type's field; any
-		// other write names just the field.
-		scanWrites(f, fieldNamer{
-			sel: func(sel *ast.SelectorExpr) string { return sel.Sel.Name },
-			lit: func(lit *ast.CompositeLit, key *ast.Ident) string {
-				switch t := lit.Type.(type) {
-				case *ast.Ident:
-					return pkg.Path + "." + t.Name + "." + key.Name
-				case *ast.SelectorExpr:
-					if x, ok := t.X.(*ast.Ident); ok && imports[x.Name] != "" {
-						return imports[x.Name] + "." + t.Sel.Name + "." + key.Name
-					}
-				}
-				return key.Name
-			},
-		}, func(k string, _ ast.Expr) { d.written[k] = true })
 	}
 	return nil
 }

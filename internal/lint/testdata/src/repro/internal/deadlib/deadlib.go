@@ -5,7 +5,7 @@ package deadlib
 // Config is a fixture knob struct.
 type Config struct {
 	Used     int // written by cmd/deaduser
-	TestKnob int // written only by deadpeer's test
+	TestKnob int // want `deadlib.Config.TestKnob is never written`
 	Knob     int // want `deadlib.Config.Knob is never written`
 }
 

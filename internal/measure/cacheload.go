@@ -16,7 +16,9 @@ import (
 // [vantage : resolver] combination, one client issues a popularity-
 // skewed query stream against the resolver's shared answer cache,
 // modelling many users behind one resolver rather than the single-query
-// campaign's unique cold names.
+// campaign's unique cold names. The stream always runs DoUDP: the cache
+// is transport-agnostic, so E16 measures the cache itself on the
+// cheapest transport and E17 covers the per-transport split.
 type CacheWorkloadConfig struct {
 	// Blueprint is the resolver population; the campaign is partitioned
 	// by vantage and resolver block like the other sharded campaigns.
@@ -25,20 +27,12 @@ type CacheWorkloadConfig struct {
 	// only, never results.
 	Parallelism int
 
-	// Protocol is the transport the stream runs on (default DoUDP; the
-	// cache is transport-agnostic, so E16 measures the cache itself on
-	// the cheapest transport and E17 covers the per-transport split).
-	Protocol dox.Protocol
 	// Queries per [vantage:resolver] stream (default 500).
 	Queries int
 	// Names sizes the Zipf name universe (default 1000).
 	Names int
 	// Skew is the Zipf exponent (default 1.2; must be > 1).
 	Skew float64
-
-	// StubCache adds an unbounded client-side answer cache in front of
-	// the transport: repeated names within TTL never leave the vantage.
-	StubCache bool
 }
 
 // cacheQueryInterval spaces a stream's queries in virtual time, which is
@@ -69,28 +63,23 @@ func (c *CacheWorkloadConfig) defaults() {
 type CacheWorkloadSummary struct {
 	Vantage     string
 	ResolverIdx int
-	Protocol    dox.Protocol
 
 	// Queries and OK count issued and answered queries.
 	Queries, OK int
-	// StubHits counts queries the client-side stub cache absorbed.
-	StubHits int
 	// ResolverCache is the resolver-side cache behaviour this stream
 	// induced (hits, misses, expirations, evictions).
 	ResolverCache cache.Stats
 
 	// Resolve sketches the resolve time of every answered query;
-	// HitResolve and MissResolve split it by resolver-cache outcome
-	// (stub-cache hits count as zero-cost hits).
+	// HitResolve and MissResolve split it by resolver-cache outcome.
 	Resolve, HitResolve, MissResolve *stats.Sketch
 }
 
 // newCacheSummary returns a summary with empty sketches.
-func newCacheSummary(vantage string, resolverIdx int, proto dox.Protocol) CacheWorkloadSummary {
+func newCacheSummary(vantage string, resolverIdx int) CacheWorkloadSummary {
 	return CacheWorkloadSummary{
 		Vantage:     vantage,
 		ResolverIdx: resolverIdx,
-		Protocol:    proto,
 		Resolve:     stats.NewSketch(),
 		HitResolve:  stats.NewSketch(),
 		MissResolve: stats.NewSketch(),
@@ -101,14 +90,10 @@ func newCacheSummary(vantage string, resolverIdx int, proto dox.Protocol) CacheW
 // Callers pass summaries in campaign order; sketch counts merge exactly,
 // so the aggregate is byte-identical at any parallelism.
 func MergeCacheSummaries(parts []CacheWorkloadSummary) CacheWorkloadSummary {
-	out := newCacheSummary("all", -1, dox.DoUDP)
-	if len(parts) > 0 {
-		out.Protocol = parts[0].Protocol
-	}
+	out := newCacheSummary("all", -1)
 	for _, p := range parts {
 		out.Queries += p.Queries
 		out.OK += p.OK
-		out.StubHits += p.StubHits
 		out.ResolverCache.Merge(p.ResolverCache)
 		out.Resolve.Merge(p.Resolve)
 		out.HitResolve.Merge(p.HitResolve)
@@ -119,9 +104,9 @@ func MergeCacheSummaries(parts []CacheWorkloadSummary) CacheWorkloadSummary {
 
 // RunCacheWorkload executes the campaign and returns one summary per
 // [vantage : resolver] stream, ordered by (vantage, resolver block,
-// resolver). Each shard confines its cache state — the resolvers' shared
-// caches and any stub caches — to its own World, which is what keeps the
-// summary stream byte-identical at any parallelism.
+// resolver). Each shard confines its resolvers' shared caches to its own
+// World, which is what keeps the summary stream byte-identical at any
+// parallelism.
 func RunCacheWorkload(cfg CacheWorkloadConfig) ([]CacheWorkloadSummary, error) {
 	cfg.defaults()
 	return runSharded(cfg.Blueprint, cfg.Parallelism, cacheResolverBlock,
@@ -140,14 +125,10 @@ func RunCacheWorkload(cfg CacheWorkloadConfig) ([]CacheWorkloadSummary, error) {
 // instantiated in a whole universe or a single-shard partition.
 func runCacheStream(u *resolver.Universe, vp *resolver.Vantage, globalIdx int, res *resolver.Resolver, cfg CacheWorkloadConfig) CacheWorkloadSummary {
 	w := u.W
-	s := newCacheSummary(vp.Name, globalIdx, cfg.Protocol)
+	s := newCacheSummary(vp.Name, globalIdx)
 	wl := NewZipfWorkload(
 		rand.New(rand.NewSource(sim.DeriveSeed(cfg.Blueprint.Seed, 0x21BF, uint64(vp.Index), uint64(globalIdx)))),
 		cfg.Skew, cfg.Names)
-	var stub *cache.Cache
-	if cfg.StubCache {
-		stub = cache.New(w.Now, 0)
-	}
 	statsBefore := res.CacheStats()
 
 	var client dox.Client
@@ -165,25 +146,8 @@ func runCacheStream(u *resolver.Universe, vp *resolver.Vantage, globalIdx int, r
 		qid++
 		q := dnsmsg.NewQuery(qid, name, dnsmsg.TypeA)
 		s.Queries++
-		if stub != nil {
-			if resp := stub.AnswerQuery(&q); resp != nil {
-				// Absorbed locally: an answered zero-cost cache hit.
-				s.StubHits++
-				s.OK++
-				s.Resolve.Add(0)
-				s.HitResolve.Add(0)
-				continue
-			}
-		}
-		// DoTCP closes after one exchange (no edns-tcp-keepalive, §3),
-		// so it reconnects per query; every other transport keeps one
-		// long-lived session, as a busy stub would.
-		if client != nil && cfg.Protocol == dox.DoTCP {
-			client.Close()
-			client = nil
-		}
 		if client == nil {
-			c, err := dox.Connect(cfg.Protocol, dox.Options{
+			c, err := dox.Connect(dox.DoUDP, dox.Options{
 				Backend:    vp.Backend,
 				Resolver:   res.Addr,
 				ServerName: res.Name,
@@ -195,7 +159,7 @@ func runCacheStream(u *resolver.Universe, vp *resolver.Vantage, globalIdx int, r
 			client = c
 		}
 		before := res.CacheStats()
-		elapsed, resp, ok := cacheStreamQuery(w, client, &q)
+		elapsed, ok := cacheStreamQuery(w, client, &q)
 		if !ok {
 			// Timeout or transport error: drop the session so the next
 			// query reconnects cleanly.
@@ -210,9 +174,6 @@ func runCacheStream(u *resolver.Universe, vp *resolver.Vantage, globalIdx int, r
 		} else {
 			s.HitResolve.AddDuration(elapsed)
 		}
-		if stub != nil {
-			stub.StoreResponse(resp)
-		}
 	}
 	after := res.CacheStats()
 	s.ResolverCache = cache.Stats{
@@ -225,20 +186,15 @@ func runCacheStream(u *resolver.Universe, vp *resolver.Vantage, globalIdx int, r
 }
 
 // cacheStreamQuery runs one bounded query on an established client and
-// returns the resolve time and the response.
-func cacheStreamQuery(w *sim.World, client dox.Client, q *dnsmsg.Message) (time.Duration, *dnsmsg.Message, bool) {
-	type outcome struct {
-		elapsed time.Duration
-		resp    *dnsmsg.Message
-	}
-	o, alive := boundedTask(w, "cache-stream-query", queryTimeout, func(done *sim.Future[outcome]) {
+// returns the resolve time.
+func cacheStreamQuery(w *sim.World, client dox.Client, q *dnsmsg.Message) (time.Duration, bool) {
+	elapsed, alive := boundedTask(w, "cache-stream-query", queryTimeout, func(done *sim.Future[time.Duration]) {
 		start := w.Now()
-		resp, err := client.Query(q)
-		if err != nil {
-			done.Resolve(outcome{elapsed: -1})
+		if _, err := client.Query(q); err != nil {
+			done.Resolve(-1)
 			return
 		}
-		done.Resolve(outcome{elapsed: w.Now() - start, resp: resp})
+		done.Resolve(w.Now() - start)
 	})
-	return o.elapsed, o.resp, alive && o.elapsed >= 0
+	return elapsed, alive && elapsed >= 0
 }

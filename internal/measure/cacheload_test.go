@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dox"
 	"repro/internal/geo"
 	"repro/internal/resolver"
 	"repro/internal/stats"
@@ -146,32 +145,6 @@ func TestCacheWorkloadHitsFasterThanMisses(t *testing.T) {
 	}
 }
 
-// TestCacheWorkloadStubCache checks the client-side layer: with a stub
-// cache, repeated names are absorbed locally.
-func TestCacheWorkloadStubCache(t *testing.T) {
-	bp := cacheBlueprint(t, threeResolvers, func(p *resolver.Profile) {
-		p.ResponseRate = 1
-		p.CacheTTL = time.Hour
-	})
-	sums, err := RunCacheWorkload(CacheWorkloadConfig{
-		Blueprint: bp,
-		Queries:   100,
-		Names:     30,
-		Skew:      1.8,
-		StubCache: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := MergeCacheSummaries(sums)
-	if all.StubHits == 0 {
-		t.Error("stub cache absorbed nothing")
-	}
-	if all.StubHits >= all.Queries {
-		t.Error("stub cache cannot absorb every query (first sight must go upstream)")
-	}
-}
-
 // benchZipfAggregation is the acceptance benchmark for streaming
 // aggregation: one op = one full Zipf stream through a Sketch. B/op
 // must stay flat as the stream grows 10× — the sketch and the name
@@ -219,7 +192,6 @@ func BenchmarkCacheWorkloadCampaign(b *testing.B) {
 			Queries:     100,
 			Names:       100,
 			Skew:        1.3,
-			Protocol:    dox.DoUDP,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -47,8 +47,6 @@ type ProxyServeConfig struct {
 	Coalesce          bool
 	ServeStale        bool
 	Prefetch          bool
-	RateLimitQPS      float64
-	RateLimitBurst    int
 	StubCacheCapacity int
 	// UDPTimeout shortens the proxy's upstream retransmission timeout
 	// (default: the resolv.conf 5s; E23 uses 500ms so stale fallbacks
@@ -103,7 +101,8 @@ type ProxyServeSummary struct {
 
 	// Client-side tallies, merged in client order.
 	Queries, OK int
-	// Refused counts REFUSED responses (rate limiting).
+	// Refused counts REFUSED responses. The proxy itself never refuses,
+	// so this reads 0 unless something between client and proxy does.
 	Refused int
 	// WindowQueries/WindowOK tally queries sent inside the
 	// classification window (zero without one).
@@ -201,8 +200,6 @@ func runProxyStream(u *resolver.Universe, vp *resolver.Vantage, globalIdx int, r
 		Coalesce:          cfg.Coalesce,
 		ServeStale:        cfg.ServeStale,
 		Prefetch:          cfg.Prefetch,
-		RateLimitQPS:      cfg.RateLimitQPS,
-		RateLimitBurst:    cfg.RateLimitBurst,
 	})
 	if err != nil {
 		return s

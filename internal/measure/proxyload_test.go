@@ -29,8 +29,8 @@ func proxyBlueprint(t *testing.T, counts map[geo.Continent]int, phases []resolve
 
 // TestProxyServeDeterministicAcrossParallelism extends the byte-identical
 // guarantee to the proxy serving campaign with every serving feature on
-// at once: coalescing, serve-stale across an outage, prefetch and rate
-// limiting all confine their state to the shard's World, so the summary
+// at once: coalescing, serve-stale across an outage and prefetch all
+// confine their state to the shard's World, so the summary
 // stream cannot depend on the worker count. Nine resolvers make two
 // shards per vantage.
 func TestProxyServeDeterministicAcrossParallelism(t *testing.T) {
@@ -45,7 +45,6 @@ func TestProxyServeDeterministicAcrossParallelism(t *testing.T) {
 			Coalesce:      true,
 			ServeStale:    true,
 			Prefetch:      true,
-			RateLimitQPS:  5,
 			UDPTimeout:    500 * time.Millisecond,
 			ClassifyStart: 10 * time.Second,
 			ClassifyEnd:   14 * time.Second,
@@ -131,32 +130,5 @@ func TestProxyServeStaleSavesOutageWindow(t *testing.T) {
 	}
 	if on.StaleAge.N() == 0 {
 		t.Error("no staleness samples recorded")
-	}
-}
-
-// TestProxyServeRateLimitRefuses checks that the per-client token bucket
-// surfaces in the campaign summary.
-func TestProxyServeRateLimitRefuses(t *testing.T) {
-	bp := proxyBlueprint(t, threeResolvers, nil, time.Hour)
-	sums, err := RunProxyServe(ProxyServeConfig{
-		Blueprint:      bp,
-		Clients:        2,
-		Queries:        10,
-		Names:          5,
-		RateLimitQPS:   0.5, // clients send 1 qps
-		RateLimitBurst: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := MergeProxyServeSummaries(sums)
-	if all.Refused == 0 {
-		t.Error("a 1 qps client against a 0.5 qps bucket was never refused")
-	}
-	if all.OK == 0 {
-		t.Error("rate limiting refused everything")
-	}
-	if all.OK+all.Refused > all.Queries {
-		t.Errorf("outcomes exceed queries: ok=%d refused=%d of %d", all.OK, all.Refused, all.Queries)
 	}
 }

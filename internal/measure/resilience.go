@@ -407,7 +407,7 @@ func runFailoverArm(u *resolver.Universe, vp *resolver.Vantage, cfg FailoverCamp
 	if failover {
 		arm = "failover"
 	}
-	tracker := racing.NewFailover(vp.Backend, len(u.Resolvers), racing.FailoverConfig{})
+	tracker := racing.NewFailover(vp.Backend, len(u.Resolvers))
 	var qid uint16
 	var out []FailoverSample
 	for round := 0; round < cfg.Queries; round++ {

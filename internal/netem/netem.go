@@ -34,15 +34,14 @@ import (
 
 // BurstLoss is a Gilbert–Elliott two-state loss model. The chain sits in
 // a good or a bad state; each datagram first draws a state transition,
-// then a drop with the state's loss probability. Mean burst length is
-// 1/PBadGood datagrams. The zero value disables the model.
+// then, in the bad state, a drop with probability LossBad. The good
+// state never drops. Mean burst length is 1/PBadGood datagrams. The zero
+// value disables the model.
 type BurstLoss struct {
 	// PGoodBad is the per-datagram probability of entering the bad state.
 	PGoodBad float64
 	// PBadGood is the per-datagram probability of leaving the bad state.
 	PBadGood float64
-	// LossGood is the drop probability in the good state (usually 0).
-	LossGood float64
 	// LossBad is the drop probability in the bad state.
 	LossBad float64
 }
@@ -423,11 +422,7 @@ func (n *Network) lossPass(ls *linkState, loss float64, burst BurstLoss) bool {
 		} else if n.rng.Float64() < burst.PGoodBad {
 			ls.bad = true
 		}
-		p := burst.LossGood
-		if ls.bad {
-			p = burst.LossBad
-		}
-		if p > 0 && n.rng.Float64() < p {
+		if ls.bad && burst.LossBad > 0 && n.rng.Float64() < burst.LossBad {
 			return false
 		}
 	}

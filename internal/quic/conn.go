@@ -25,7 +25,6 @@ type Config struct {
 	TicketStore     *tlsmini.TicketStore
 	AcceptEarlyData bool
 	OfferEarlyData  bool
-	TLSVersion      tlsmini.Version
 
 	// Versions lists the supported wire versions: for servers the
 	// acceptance set, for clients the preference order (first is tried
@@ -367,7 +366,6 @@ func (c *Conn) tlsConfig() tlsmini.Config {
 		ServerName:      c.cfg.ServerName,
 		ALPN:            c.cfg.ALPN,
 		Identity:        c.cfg.Identity,
-		Version:         c.cfg.TLSVersion,
 		SessionCache:    c.cfg.SessionCache,
 		TicketStore:     c.cfg.TicketStore,
 		AcceptEarlyData: c.cfg.AcceptEarlyData,

@@ -52,8 +52,6 @@ type UniverseConfig struct {
 	// baseline of E17 — is requested with the NoLoss sentinel (any
 	// negative value), since 0 cannot distinguish "unset" from "none".
 	Loss float64
-	// Jitter is the per-path delay jitter bound (default 1ms).
-	Jitter time.Duration
 	// Access names the netem access profile every vantage's host sits
 	// behind ("fiber" when empty — the paper's EC2 datacenter uplinks).
 	// The E19–E21 grids rebuild the same population with each profile.
@@ -61,7 +59,7 @@ type UniverseConfig struct {
 	// PathPhases, when non-empty, installs a time-varying schedule on
 	// every vantage<->resolver path: from each phase's At (virtual time)
 	// the path's loss model is replaced by the phase's Loss/Burst, while
-	// delay and jitter stay as configured. Phases express mid-campaign
+	// delay and jitter stay as they were. Phases express mid-campaign
 	// degradation and recovery (E20's burst-loss windows).
 	PathPhases []PathPhase
 	// Population tunes profile synthesis.
@@ -121,7 +119,6 @@ func ScaledCounts(n int) map[geo.Continent]int {
 type Blueprint struct {
 	Seed     int64
 	Loss     float64
-	Jitter   time.Duration
 	Vantages []geo.VantagePoint
 	Profiles []Profile
 	// Access is the netem access profile attached to every vantage host.
@@ -135,6 +132,10 @@ type Blueprint struct {
 // universe. Loss == 0 means "use DefaultLoss" (the config trap this
 // sentinel resolves), so a zero-loss path needs an explicit request.
 const NoLoss = -1.0
+
+// PathJitter is the per-path delay jitter bound of every
+// vantage<->resolver path.
+const PathJitter = time.Millisecond
 
 // DefaultLoss is the per-path datagram drop rate every campaign runs
 // at (0.3%), the source of the paper's retransmission-tail
@@ -150,9 +151,6 @@ func NewBlueprint(cfg UniverseConfig) (*Blueprint, error) {
 	case cfg.Loss == 0:
 		cfg.Loss = DefaultLoss
 	}
-	if cfg.Jitter == 0 {
-		cfg.Jitter = time.Millisecond
-	}
 	if cfg.Population == (PopulationParams{}) {
 		cfg.Population = DefaultPopulation()
 	}
@@ -166,7 +164,6 @@ func NewBlueprint(cfg UniverseConfig) (*Blueprint, error) {
 	b := &Blueprint{
 		Seed:     cfg.Seed,
 		Loss:     cfg.Loss,
-		Jitter:   cfg.Jitter,
 		Vantages: geo.VantagePoints(),
 		Access:   access,
 		Phases:   append([]PathPhase(nil), cfg.PathPhases...),
@@ -246,7 +243,7 @@ func (b *Blueprint) Instantiate(seed int64, sc Scope) (*Universe, error) {
 			delay := geo.OneWayDelay(v.Coord, prof.Place.Coord)
 			base := netem.PathParams{
 				Delay:  delay,
-				Jitter: b.Jitter,
+				Jitter: PathJitter,
 				Loss:   b.Loss,
 			}
 			u.Net.SetSymmetricPath(v.Host.Addr(), prof.Addr, base)

@@ -34,6 +34,7 @@ import (
 	"repro/internal/netapi/simnet"
 	"repro/internal/netem"
 	"repro/internal/quic"
+	"repro/internal/resolver"
 	"repro/internal/sim"
 	"repro/internal/tlsmini"
 )
@@ -229,7 +230,7 @@ func PlanPopulation(rng *rand.Rand, spec PopulationSpec) ([]TargetPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	places := geo.PlaceResolvers(rng, scaledGeoCounts(spec.DoQResolvers))
+	places := geo.PlaceResolvers(rng, resolver.ScaledCounts(spec.DoQResolvers))
 	var plans []TargetPlan
 	next := 0
 	addrFor := func() netip.Addr {
@@ -336,18 +337,6 @@ func BuildTargets(net *netem.Network, seed int64, plans []TargetPlan, lo, hi int
 		}
 	}
 	return targets, nil
-}
-
-func scaledGeoCounts(n int) map[geo.Continent]int {
-	out := map[geo.Continent]int{}
-	for c, v := range geo.VerifiedResolverCounts {
-		s := v * n / 313
-		if s < 1 {
-			s = 1
-		}
-		out[c] = s
-	}
-	return out
 }
 
 // FunnelResult is the scan outcome (paper §2).
