@@ -98,8 +98,9 @@ bench-check:
 		esac; \
 	done
 
-# determinism runs the byte-identity tests: every report at parallelism
-# 1 vs 8 and its campaign-level siblings, plus the golden reports.
+# determinism runs the byte-identity tests: TestReportsMatchGolden (the
+# whole suite at parallelism 1 and 8, each run against the golden
+# reports) and the campaign-level Deterministic tests.
 determinism:
 	go test -count=1 -run 'Deterministic|Golden' ./...
 

@@ -1,21 +1,15 @@
 // Command simlint runs the repository's analyzer suite (internal/lint):
 // seven checkers that machine-enforce the determinism, pool-ownership,
-// hot-path, backend-purity and dead-API invariants. Two modes:
-//
-// Standalone multichecker (the `make lint` entry point):
+// hot-path, backend-purity and dead-API invariants. It is the `make
+// lint` entry point:
 //
 //	go run ./cmd/simlint ./...
 //	go run ./cmd/simlint -rules maporder,poolown ./internal/...
 //	go run ./cmd/simlint -list                       # rule catalog
 //
-// Vet tool (per-package, driven by the go command):
-//
-//	go build -o bin/simlint ./cmd/simlint
-//	go vet -vettool=$(pwd)/bin/simlint ./...
-//
-// The whole-program deadapi rule runs only in standalone mode on the
-// default ./... pattern, where it also loads the bench/ module so that
-// whatever the benchmark calls stays live; go vet runs every other rule.
+// The whole-program deadapi rule runs only on the default ./... pattern,
+// where simlint also loads the bench/ module so that whatever the
+// benchmark calls stays live; the other six rules run on any pattern.
 //
 // Exit status is nonzero when any finding survives //simlint:allow
 // pragmas.
@@ -35,25 +29,10 @@ import (
 )
 
 func main() {
-	// go vet probes its tool with -V=full, then invokes it with a
-	// single *.cfg argument per package.
-	if len(os.Args) == 2 && os.Args[1] == "-V=full" {
-		fmt.Println("simlint version 1 (repro analyzer suite)")
-		return
-	}
-	// go vet asks the tool which flags it supports; simlint takes none
-	// in vet-tool mode.
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-	if len(os.Args) == 2 && strings.HasSuffix(os.Args[1], ".cfg") {
-		os.Exit(vettoolMain(os.Args[1]))
-	}
-	os.Exit(standaloneMain())
+	os.Exit(run())
 }
 
-func standaloneMain() int {
+func run() int {
 	var (
 		rulesFlag = flag.String("rules", "", "comma-separated rule subset to run (default: all)")
 		listRules = flag.Bool("list", false, "print the rule catalog and exit")

@@ -240,12 +240,6 @@ func NewQUICSessionStore() *QUICSessionStore {
 	return &QUICSessionStore{m: make(map[netip.Addr]*QUICSession)}
 }
 
-// Get returns the stored session state for addr, or nil.
-func (s *QUICSessionStore) Get(addr netip.Addr) *QUICSession { return s.m[addr] }
-
-// Put stores session state for addr.
-func (s *QUICSessionStore) Put(addr netip.Addr, q *QUICSession) { s.m[addr] = q }
-
 // Remember extracts reusable state from a finished QUIC-based client
 // (DoQ or DoH3).
 func (s *QUICSessionStore) Remember(addr netip.Addr, c Client) {

@@ -23,38 +23,89 @@ func goldenConfig() Config {
 	cfg.CacheQueries = 40
 	cfg.CacheNames = 60
 	cfg.ScanScale = 32
-	cfg.Parallelism = 8
 	return cfg
 }
 
-// TestReportsMatchGolden pins every report byte for byte to
-// testdata/golden/<ID>.txt. A change that moves a simulated result
-// regenerates the files with -update, and the diff shows which report
-// lines moved.
+// TestReportsMatchGolden is the package's only whole-suite test. It
+// runs every experiment twice, at parallelism 1 and 8, each time on a
+// fresh Runner whose campaigns use the same parallelism, and pins every
+// report of both runs byte for byte to testdata/golden/<ID>.txt: a
+// report that depends on parallelism fails against the file. A change
+// that moves a simulated result regenerates the files with -update from
+// the parallelism-8 run (the parallelism-1 run must still equal it), and
+// the diff shows which report lines moved.
 func TestReportsMatchGolden(t *testing.T) {
-	cfg := goldenConfig()
-	for _, res := range RunAll(NewRunner(cfg), All(), cfg.Parallelism) {
-		id := res.Experiment.ID
-		if res.Err != nil {
-			t.Errorf("%s: %v", id, res.Err)
-			continue
-		}
-		path := filepath.Join("testdata", "golden", id+".txt")
+	pars := []int{1, 8}
+	runs := make([][]Result, len(pars))
+	for i, par := range pars {
+		runs[i] = runSuite(t, par)
+	}
+	for i, e := range All() {
+		path := filepath.Join("testdata", "golden", e.ID+".txt")
+		var want string
 		if *update {
-			if err := os.WriteFile(path, []byte(res.Output), 0o644); err != nil {
+			want = runs[len(runs)-1][i].Output
+			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			continue
+		} else {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Errorf("%s: %v (regenerate with -update)", e.ID, err)
+				continue
+			}
+			want = string(b)
 		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Errorf("%s: %v (regenerate with -update)", id, err)
-			continue
-		}
-		if res.Output != string(want) {
-			t.Errorf("%s report differs from %s at %s", id, path, firstDiff(string(want), res.Output))
+		for j, par := range pars {
+			if got := runs[j][i].Output; got != want {
+				t.Errorf("%s report at parallelism %d differs from %s at %s", e.ID, par, path, firstDiff(want, got))
+			}
 		}
 	}
+}
+
+// runSuite runs every experiment through RunAllFunc on a fresh Runner at
+// parallelism par and checks what must hold of any run: results are
+// returned and emitted in input order, every experiment returns a
+// report of at least 40 bytes without error, and the single-query
+// campaign is still cached afterwards.
+func runSuite(t *testing.T, par int) []Result {
+	t.Helper()
+	cfg := goldenConfig()
+	cfg.Parallelism = par
+	r := NewRunner(cfg)
+	var emitted []string
+	results := RunAllFunc(r, All(), par, func(res Result) {
+		emitted = append(emitted, res.Experiment.ID)
+	})
+	exps := All()
+	if len(results) != len(exps) || len(emitted) != len(exps) {
+		t.Fatalf("parallelism %d: %d results and %d emits for %d experiments", par, len(results), len(emitted), len(exps))
+	}
+	for i, e := range exps {
+		res := results[i]
+		if res.Experiment.ID != e.ID || emitted[i] != e.ID {
+			t.Fatalf("parallelism %d: position %d returned %s and emitted %s, want input order %s",
+				par, i, res.Experiment.ID, emitted[i], e.ID)
+		}
+		if res.Err != nil {
+			t.Errorf("parallelism %d: %s: %v", par, e.ID, res.Err)
+		} else if len(res.Output) < 40 {
+			t.Errorf("parallelism %d: %s: suspiciously short report:\n%s", par, e.ID, res.Output)
+		}
+	}
+	a, err := r.singleQuery()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.singleQuery()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a) == 0 || &a[0] != &b[0] {
+		t.Errorf("parallelism %d: single-query campaign was not cached across RunAllFunc", par)
+	}
+	return results
 }
 
 // firstDiff describes the first line at which got departs from want.

@@ -15,15 +15,14 @@ import (
 	"repro/internal/lint/loader"
 )
 
-// DeadAPI is the whole-program rule. It is not in Analyzers: knowing
-// that nothing references a declaration takes every package of the
-// program at once, which go vet's one-package-at-a-time protocol never
-// provides. The standalone driver runs it through RunDeadAPI.
+// DeadAPI is the whole-program rule: knowing that nothing references a
+// declaration takes every package of the program at once, so Run does
+// not apply it per package. simlint runs it through RunDeadAPI.
 var DeadAPI = &analysis.Analyzer{
 	Name: "deadapi",
 	Doc: `flag dead declarations and never-set knobs under internal/
 
-Whole-program: standalone simlint on ./... only, with bench/ loaded.
+Whole-program: simlint on ./... only, with bench/ loaded.
 Reports a package-level func, type, const or var, or a method, that
 no non-test code references and no other package's test references
 (interface-satisfying methods and String/Error/Format are live), and

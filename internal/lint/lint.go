@@ -16,9 +16,8 @@
 //	             tlsmini codecs) import sim or netem
 //	deadapi      no declaration under internal/ that only its own
 //	             package's tests reference, and no *Config/*Options
-//	             field that nothing writes (whole-program: standalone
-//	             simlint on ./... only, with bench/ loaded; go vet runs
-//	             the other six)
+//	             field that nothing writes (whole-program: simlint runs
+//	             it on ./... only, with bench/ loaded)
 //
 // Intentional exceptions are recorded in the source as
 // //simlint:allow <rule> <reason>; the reason is mandatory. See
@@ -33,19 +32,18 @@ import (
 	"repro/internal/lint/loader"
 )
 
-// Analyzers is the full simlint suite, in report order.
-var Analyzers = []*analysis.Analyzer{
+// Rules is every rule, in catalog order: the six per-package analyzers,
+// which Run applies, then the whole-program DeadAPI, which RunDeadAPI
+// applies.
+var Rules = []*analysis.Analyzer{
 	BackendPurity,
 	HotAlloc,
 	MapOrder,
 	NoWallClock,
 	PoolOwn,
 	SeededRand,
+	DeadAPI,
 }
-
-// Rules is every rule: the per-package Analyzers plus the whole-program
-// DeadAPI, which only the standalone driver runs.
-var Rules = append(Analyzers[:len(Analyzers):len(Analyzers)], DeadAPI)
 
 // ruleNames holds every valid rule name for pragma validation.
 var ruleNames = func() map[string]bool {

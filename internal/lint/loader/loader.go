@@ -206,34 +206,6 @@ func LoadModule(dir string, patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
-// LoadFiles type-checks one package from an explicit file list, with
-// imports resolved from the given export-data map. It serves the vettool
-// mode, where `go vet` hands simlint exactly this information.
-func LoadFiles(path, dir string, goFiles []string, exports map[string]string) (*Package, error) {
-	fset := token.NewFileSet()
-	var rel []string
-	for _, f := range goFiles {
-		if filepath.IsAbs(f) {
-			r, err := filepath.Rel(dir, f)
-			if err != nil {
-				r = f
-			}
-			f = r
-		}
-		rel = append(rel, f)
-	}
-	files, err := parseDir(fset, dir, rel)
-	if err != nil {
-		return nil, err
-	}
-	imp := exportImporter(fset, exports, nil)
-	tpkg, info, err := typeCheck(fset, path, files, imp)
-	if err != nil {
-		return nil, err
-	}
-	return &Package{Path: path, Dir: dir, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
-}
-
 // tree loads a GOPATH-style fixture tree.
 type tree struct {
 	root    string // the src directory

@@ -130,6 +130,8 @@ func runCacheStream(u *resolver.Universe, vp *resolver.Vantage, globalIdx int, r
 		rand.New(rand.NewSource(sim.DeriveSeed(cfg.Blueprint.Seed, 0x21BF, uint64(vp.Index), uint64(globalIdx)))),
 		cfg.Skew, cfg.Names)
 	statsBefore := res.CacheStats()
+	opts := resolverOptions(res)
+	opts.Backend = vp.Backend
 
 	var client dox.Client
 	defer func() {
@@ -147,12 +149,7 @@ func runCacheStream(u *resolver.Universe, vp *resolver.Vantage, globalIdx int, r
 		q := dnsmsg.NewQuery(qid, name, dnsmsg.TypeA)
 		s.Queries++
 		if client == nil {
-			c, err := dox.Connect(dox.DoUDP, dox.Options{
-				Backend:    vp.Backend,
-				Resolver:   res.Addr,
-				ServerName: res.Name,
-				DoQPort:    res.DoQPort,
-			})
+			c, err := dox.Connect(dox.DoUDP, opts)
 			if err != nil {
 				continue
 			}

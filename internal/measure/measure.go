@@ -242,13 +242,16 @@ func newVantageRunner(u *resolver.Universe, vp *resolver.Vantage, cfg SingleQuer
 	}
 }
 
+// resolverOptions addresses res: its address, TLS server name and DoQ
+// port. A caller that dials res itself sets the vantage's Backend; a
+// dnsproxy upstream runs on the proxy's.
+func resolverOptions(res *resolver.Resolver) dox.Options {
+	return dox.Options{Resolver: res.Addr, ServerName: res.Name, DoQPort: res.DoQPort}
+}
+
 func (r *vantageRunner) options(res *resolver.Resolver, proto dox.Protocol, warming bool) dox.Options {
-	o := dox.Options{
-		Backend:    r.vp.Backend,
-		Resolver:   res.Addr,
-		ServerName: res.Name,
-		DoQPort:    res.DoQPort,
-	}
+	o := resolverOptions(res)
+	o.Backend = r.vp.Backend
 	if r.cfg.DisableResumption && !warming {
 		// Cold session: fresh cache, no token, no cached version. The
 		// client still has to discover the version via VN if needed.
@@ -426,12 +429,8 @@ func runWebCombo(u *resolver.Universe, vp *resolver.Vantage, globalIdx int, res 
 	// A fresh proxy per combination, as the paper sets DNS Proxy up anew.
 	listenPort := uint16(10000 + vp.Index)
 	proxy, err := dnsproxy.New(vp.Backend, dnsproxy.Config{
-		Upstream: proto,
-		Options: dox.Options{
-			Resolver:   res.Addr,
-			ServerName: res.Name,
-			DoQPort:    res.DoQPort,
-		},
+		Upstream:    proto,
+		Options:     resolverOptions(res),
 		ListenPort:  listenPort,
 		FixDoTReuse: cfg.FixDoTReuse,
 		StubCache:   cfg.StubCache,

@@ -186,14 +186,11 @@ func RunProxyServe(cfg ProxyServeConfig) ([]ProxyServeSummary, error) {
 func runProxyStream(u *resolver.Universe, vp *resolver.Vantage, globalIdx int, res *resolver.Resolver, cfg ProxyServeConfig) ProxyServeSummary {
 	w := u.W
 	s := newProxyServeSummary(vp.Name, globalIdx, cfg.Protocol)
+	opts := resolverOptions(res)
+	opts.UDPTimeout = cfg.UDPTimeout
 	proxy, err := dnsproxy.New(vp.Backend, dnsproxy.Config{
-		Upstream: cfg.Protocol,
-		Options: dox.Options{
-			Resolver:   res.Addr,
-			ServerName: res.Name,
-			DoQPort:    res.DoQPort,
-			UDPTimeout: cfg.UDPTimeout,
-		},
+		Upstream:          cfg.Protocol,
+		Options:           opts,
 		ListenPort:        uint16(10000 + vp.Index),
 		StubCache:         true,
 		StubCacheCapacity: cfg.StubCacheCapacity,

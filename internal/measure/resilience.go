@@ -97,23 +97,19 @@ func racingShardBody(u *resolver.Universe, vp *resolver.Vantage, cfg RacingConfi
 	var out []RacingSample
 	var qid uint16
 	for idx, res := range u.Resolvers {
+		opts := resolverOptions(res)
+		opts.Backend = vp.Backend
+		// Bounded Do53 retransmits: a blackholed rung gives up inside
+		// its race budget instead of camping on the classic flat 5s.
+		opts.UDPTimeout = 500 * time.Millisecond
+		opts.UDPBackoff = 2
 		for _, pol := range policies {
 			// The middlebox sits on the vantage's outbound path; replies
 			// flow freely (blocking the forward direction is enough to
 			// kill the exchange, as real port-blocking middleboxes do).
 			u.Net.SetPolicy(vp.Host.Addr(), res.Addr, pol.Policy)
 			stub := racing.New(racing.Config{
-				Options: dox.Options{
-					Backend:    vp.Backend,
-					Resolver:   res.Addr,
-					ServerName: res.Name,
-					DoQPort:    res.DoQPort,
-					// Bounded Do53 retransmits (satellite of this PR): a
-					// blackholed rung gives up inside its race budget
-					// instead of camping on the classic flat 5s.
-					UDPTimeout: 500 * time.Millisecond,
-					UDPBackoff: 2,
-				},
+				Options: opts,
 				// No re-probing mid-cell: the policy never lifts, so a
 				// re-race would only repeat the measured penalty.
 				ReprobeInterval: -1,
@@ -215,12 +211,8 @@ func runMigrationCell(u *resolver.Universe, vp *resolver.Vantage, globalIdx int,
 	var arms []migrationArm
 	for i, proto := range migrationProtocols {
 		proxy, err := dnsproxy.New(vp.Backend, dnsproxy.Config{
-			Upstream: proto,
-			Options: dox.Options{
-				Resolver:   res.Addr,
-				ServerName: res.Name,
-				DoQPort:    res.DoQPort,
-			},
+			Upstream:   proto,
+			Options:    resolverOptions(res),
 			ListenPort: uint16(10000 + 8*vp.Index + i),
 			// A query the flip kills mid-flight is retried over a fresh
 			// session, as production forwarders do — the TCP arms pay

@@ -45,9 +45,6 @@ func New(host *netem.Host, rng *rand.Rand) *Backend {
 	return &Backend{host: host, w: host.World(), rng: rng}
 }
 
-// Host exposes the underlying netem host for sim-side test plumbing.
-func (b *Backend) Host() *netem.Host { return b.host }
-
 // NewRuntime adapts a bare World — no netem host attached — to
 // netapi.Runtime, for tests that drive protocol engines over in-memory
 // pipes. Socket methods on the result panic; only the Runtime surface

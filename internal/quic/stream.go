@@ -35,9 +35,6 @@ func newStream(c *Conn, id uint64) *Stream {
 	}
 }
 
-// ID returns the stream identifier.
-func (s *Stream) ID() uint64 { return s.id }
-
 // Write queues p on the stream; fin marks the end of the stream. Writes
 // before handshake completion are sent as 0-RTT when the connection
 // offered it (and replayed as 1-RTT if the server rejects).
